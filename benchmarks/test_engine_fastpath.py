@@ -102,9 +102,9 @@ def test_sync_engine_occupancy_stays_consistent_under_random_moves():
     metrics = engine.finalize_metrics()
     assert metrics.rounds == 500
     assert metrics.total_moves == sum(
-        engine._moves_per_agent.get(a, 0) for a in agents
+        engine.kernel.moves_per_agent.get(a, 0) for a in agents
     )
-    assert metrics.max_moves_per_agent == max(engine._moves_per_agent.values())
+    assert metrics.max_moves_per_agent == max(engine.kernel.moves_per_agent.values())
 
 
 def test_engine_round_counters_unchanged_by_fast_path():

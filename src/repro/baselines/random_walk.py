@@ -53,7 +53,7 @@ def random_walk_dispersion(
             if not agent.settled:
                 by_node.setdefault(agent.position, []).append(agent)
         for node, group in by_node.items():
-            if any(a.settled and a.home == node for a in engine.agents_at(node)):
+            if engine.kernel.has_home_settler(node):
                 continue
             winner = min(group, key=lambda a: a.agent_id)
             winner.settle(node, None)

@@ -1,27 +1,19 @@
-"""``repro bench``: kernel steps-per-second per backend, as a committed report.
+"""``repro bench``: settled-query throughput per backend, as a committed report.
 
-The bench answers one question per (workload, backend) pair: how many kernel
-steps per wall-clock second does the batch-stepping tier sustain on a large
-world?  Four workloads cover the regimes the ROADMAP's north star cares
-about:
+The bench answers one question per backend: how many settled-presence queries
+per wall-clock second does the probe phase sustain on a large world?  It has
+one workload, the primitive the vectorized backend's settled index exists
+for:
 
-``random_walk``
-    Pure movement -- every agent crosses one uniformly random edge per round.
-    This is the upper bound on kernel throughput (no settle logic).
-``dispersion``
-    The random-walk scattering heuristic: walk plus the min-id
-    settle-on-empty-node rule each round, the interactive-exploration
-    workload.
-``scatter``
-    The DFS drivers' scatter-walk phase: the whole population follows one
-    precomputed port path through :meth:`SyncEngine.step_path` (the
-    :meth:`KernelBackend.run_scatter` primitive).  One step = one agent
-    crossing one edge.
 ``probe``
     The probe phase's settled-presence queries: every node of a fully
-    settled world is queried once per round through
+    settled world is queried once per sweep through
     :meth:`ExecutionKernel.run_probe_round`.  One step = one answered
     query (no rounds advance).
+
+Wall-clock time of the paper's algorithms end to end is the repository
+benchmark's job (``perfbench/``); a per-primitive rate here says nothing
+about it on its own.
 
 Reports are schema-versioned JSON (:data:`BENCH_FORMAT`) mapping
 nodes/agents/workload/backend to steps-per-second, with cross-backend
@@ -35,9 +27,9 @@ speedup ratios precomputed.  Each report carries named **tiers**:
 ``scale-N``
     One tier per ``--nodes N`` value: the scale axis (10^4 .. 10^6 nodes).
     At sizes >= :data:`SHORT_HORIZON_NODES` the reference legs switch to a
-    **short horizon** (no warm-up, one-round chunks, at most
+    **short horizon** (no warm-up, one-sweep chunks, at most
     :data:`SHORT_HORIZON_CALLS` calls) so a 10^6-node world stays measurable:
-    a single reference round there costs seconds, so amortized chunk growth
+    a single reference sweep there costs seconds, so amortized chunk growth
     would blow any budget.  Short rows carry ``"short_horizon": true`` --
     their per-call overhead is not amortized, so treat their ratios as
     indicative, not gate-grade.
@@ -48,7 +40,7 @@ quick-tier numbers for CI to gate against like-for-like; ``--quick``
 measures only the quick tier, and ``--nodes`` (repeatable) measures the
 listed scale tiers instead (added to full+quick without ``--quick``).  The
 ``bench-guard`` job re-measures quick plus the 10^5 scale tier and gates on
-the **speedup ratio** per workload of the common tier(s), not on absolute
+the **speedup ratio** of the common tier(s), not on absolute
 steps/s -- ratios transfer across machines, absolute numbers do not (they
 are still recorded, so the perf trajectory stays visible PR over PR).
 """
@@ -58,14 +50,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import random
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.agents.agent import Agent
 from repro.agents.memory import MemoryModel
 from repro.runner.scenario import ScenarioSpec, build_graph
-from repro.sim.backends import DEFAULT_BACKEND
+from repro.sim.backends import DEFAULT_BACKEND, VectorizedBackend
 from repro.sim.sync_engine import SyncEngine
 
 __all__ = [
@@ -83,15 +74,15 @@ __all__ = [
 BENCH_FORMAT = "repro-bench-v1"
 
 #: Workload names, in report order.
-WORKLOADS = ("random_walk", "dispersion", "scatter", "probe")
+WORKLOADS = ("probe",)
 
 #: Default world sizes (nodes; agents default to the same number).
 FULL_NODES = 100_000
 QUICK_NODES = 20_000
 
 #: From this world size up, reference-backend legs run the short horizon (no
-#: warm-up, one-round chunks, at most :data:`SHORT_HORIZON_CALLS` calls): one
-#: reference round at 10^6 nodes is seconds of Python, so the amortizing
+#: warm-up, one-sweep chunks, at most :data:`SHORT_HORIZON_CALLS` calls): one
+#: reference sweep at 10^6 nodes is seconds of Python, so the amortizing
 #: chunk ladder would never fit a budget.  Tiers this large also drop to a
 #: single measurement pass -- their rows are trajectory data, not gate input.
 SHORT_HORIZON_NODES = 200_000
@@ -123,116 +114,69 @@ def bench_scenario(nodes: int, agents: int, backend: str = DEFAULT_BACKEND, seed
     )
 
 
-def _workload_runner(
-    engine: SyncEngine, workload: str, seed: int
-) -> Callable[[int, int], int]:
-    """Build the measured closure for one leg: ``run(chunk, salt) -> steps``.
+def _probe_runner(engine: SyncEngine) -> Callable[[int], int]:
+    """Build the measured closure for one leg: ``run(chunk) -> steps``.
 
-    ``chunk`` is the number of rounds (walk workloads), path hops (scatter),
-    or full query sweeps (probe) per timed call; ``salt`` decorrelates the
-    RNG streams across calls.  Any one-off setup a workload needs (settling
-    the probe world, seeding the scatter path RNG) happens here, outside the
-    timed region.
+    ``chunk`` is the number of full query sweeps per timed call.  Settling
+    the world happens here, outside the timed region.
     """
     kernel = engine.kernel
-    backend = kernel.backend
-    if workload in ("random_walk", "dispersion"):
-        settle = workload == "dispersion"
+    n = kernel.graph.num_nodes
+    # A fully settled world (measure_tier spreads the population across the
+    # nodes): every query does real settled-presence work.
+    for agent in kernel.agents.values():
+        if not agent.settled:
+            agent.settle(agent.position, None)
+    nodes_q: Any
+    excl_q: Any
+    if isinstance(kernel.backend, VectorizedBackend):
+        import numpy as np
 
-        def run(chunk: int, salt: int) -> int:
-            return backend.run_walk(chunk, seed=seed + 1 + salt, settle=settle)
+        # Prebuilt int64 arrays enter the vectorized primitive zero-copy; the
+        # reference leg gets plain lists -- each backend is fed its native
+        # container so neither pays conversion inside the loop.
+        nodes_q = np.arange(n, dtype=np.int64)
+        excl_q = np.zeros(n, dtype=np.int64)
+    else:
+        nodes_q = list(range(n))
+        excl_q = [0] * n
 
-        return run
-    if workload == "scatter":
-        graph = kernel.graph
-        walker_ids = sorted(kernel.agents)
-        rng = random.Random(seed)
-        # The whole population walks one shared path, exactly like a blocked
-        # group's scatter phase; the head node persists across calls.
-        state = {"node": kernel.agents[walker_ids[0]].position}
+    def run(chunk: int) -> int:
+        for _ in range(chunk):
+            kernel.run_probe_round(nodes_q, excl_q)
+        return chunk * n
 
-        def run(chunk: int, salt: int) -> int:
-            node = state["node"]
-            ports: List[int] = []
-            for _ in range(chunk):
-                port = rng.randint(1, graph.degree(node))
-                ports.append(port)
-                node = graph.neighbor(node, port)
-            state["node"] = engine.step_path(
-                walker_ids, state["node"], ports, counter="scatter_moves"
-            )
-            return chunk * len(walker_ids)
-
-        return run
-    if workload == "probe":
-        graph = kernel.graph
-        n = graph.num_nodes
-        # A fully settled world (measure_tier spreads the population across
-        # the nodes): every query does real settled-presence work.
-        for agent in kernel.agents.values():
-            if not agent.settled:
-                agent.settle(agent.position, None)
-        nodes_q: Any
-        excl_q: Any
-        from repro.sim.backends.vectorized import VectorizedBackend
-        from repro.sim.backends.vectorized import np as _np
-
-        if _np is not None and isinstance(backend, VectorizedBackend):
-            # Prebuilt int64 arrays enter the vectorized primitive zero-copy;
-            # the reference leg gets plain lists -- each backend is fed its
-            # native container so neither pays conversion inside the loop.
-            nodes_q = _np.arange(n, dtype=_np.int64)
-            excl_q = _np.zeros(n, dtype=_np.int64)
-        else:
-            nodes_q = list(range(n))
-            excl_q = [0] * n
-
-        def run(chunk: int, salt: int) -> int:
-            for _ in range(chunk):
-                kernel.run_probe_round(nodes_q, excl_q)
-            return chunk * n
-
-        return run
-    raise ValueError(f"unknown workload {workload!r}; known: {WORKLOADS}")
+    return run
 
 
-def _measure(
-    engine: SyncEngine,
-    workload: str,
-    seed: int,
-    budget_s: float,
-    short: bool = False,
-) -> Dict[str, Any]:
+def _measure(engine: SyncEngine, budget_s: float, short: bool = False) -> Dict[str, Any]:
     """Time workload chunks until the budget is spent; return the tallies."""
-    run = _workload_runner(engine, workload, seed)
+    run = _probe_runner(engine)
     if not short:
         # One untimed warm-up call absorbs first-touch costs (array views,
         # page faults) so the measured rate reflects steady state.  Short
         # legs skip it: at 10^6 nodes the warm-up alone would cost seconds.
-        run(1, 0)
+        run(1)
     steps = 0
     calls = 0
     rounds_before = engine.metrics.rounds
-    # Chunks grow geometrically (the pyperf pattern): per-call costs -- state
-    # rebuilds and the vectorized backend's O(k) sync-back -- amortize away,
-    # so the measured rate converges on the backend's true per-round rate.
-    # The reported steps/s is the *best* chunk's rate (again pyperf: the
-    # minimum-time estimator), which a transient stall cannot drag down --
-    # that stability is what lets bench-guard gate ratios with a +-25% band.
-    # Short legs pin chunk=1 and stop after SHORT_HORIZON_CALLS calls.
+    # Chunks grow geometrically (the pyperf pattern): per-call costs amortize
+    # away, so the measured rate converges on the backend's true per-query
+    # rate.  The reported steps/s is the *best* chunk's rate (again pyperf:
+    # the minimum-time estimator), which a transient stall cannot drag down
+    # -- that stability is what lets bench-guard gate ratios with a +-25%
+    # band.  Short legs pin chunk=1 and stop after SHORT_HORIZON_CALLS calls.
     chunk = 1 if short else 4
     best_rate = 0.0
     start = time.perf_counter()
     elapsed = 0.0
     while elapsed < budget_s:
         chunk_start = time.perf_counter()
-        done = run(chunk, steps)
+        done = run(chunk)
         chunk_end = time.perf_counter()
         calls += 1
         steps += done
         elapsed = chunk_end - start
-        if done == 0:
-            break  # dispersion completed: further rounds are no-ops
         if chunk_end > chunk_start:
             best_rate = max(best_rate, done / (chunk_end - chunk_start))
         if short:
@@ -291,21 +235,15 @@ def measure_tier(
     for _pass in range(passes):
         for workload in workloads:
             for backend in backends:
-                # The probe workload spreads the population so settling each
-                # agent in place yields a fully settled world; every other
-                # workload starts rooted (everyone on node 0).
-                if workload == "probe":
-                    population = [
-                        Agent(i, (i - 1) % graph.num_nodes, model)
-                        for i in range(1, agents + 1)
-                    ]
-                else:
-                    population = [Agent(i, 0, model) for i in range(1, agents + 1)]
+                # Spread the population so settling each agent in place
+                # yields a fully settled world.
+                population = [
+                    Agent(i, (i - 1) % graph.num_nodes, model)
+                    for i in range(1, agents + 1)
+                ]
                 engine = SyncEngine(graph, population, backend=backend)
                 short = short_tier and backend == DEFAULT_BACKEND
-                measured = _measure(
-                    engine, workload, seed=seed, budget_s=budget_s, short=short
-                )
+                measured = _measure(engine, budget_s=budget_s, short=short)
                 key = (workload, backend)
                 if (
                     key not in best

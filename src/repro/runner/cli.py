@@ -9,7 +9,7 @@ Five subcommand families mirror the workflow the benchmarks automate:
   store (cache hits skip execution, finished records are committed one by
   one, and ``--resume`` completes an interrupted sweep);
 * ``repro report`` -- Table-1 style comparison tables from a sweep artifact;
-* ``repro bench``  -- kernel steps/s per backend as a schema-versioned JSON
+* ``repro bench``  -- settled-query throughput per backend as a schema-versioned JSON
   report; ``--check`` gates the cross-backend speedup ratio against a
   committed baseline (CI's ``bench-guard``);
 * ``repro db``     -- the experiment-store toolbox: ``query`` filtered
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_BACKEND,
         choices=list(BACKEND_NAMES),
         help="kernel world-state backend: reference (pure Python, the oracle) "
-        "or vectorized (numpy struct-of-arrays; needs the 'fast' extra). "
+        "or vectorized (reference plus a settled-agent index; needs the 'fast' extra). "
         "Records are identical either way, only speed differs",
     )
     run_p.add_argument(
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser(
         "bench",
-        help="measure kernel steps-per-second per backend and write BENCH_kernel.json",
+        help="measure settled-query throughput per backend and write BENCH_kernel.json",
     )
     bench_p.add_argument(
         "--backend",
@@ -441,13 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         choices=list(BACKEND_NAMES),
         help="backend(s) to measure (repeatable; default: every available one)",
-    )
-    bench_p.add_argument(
-        "--workload",
-        action="append",
-        default=[],
-        choices=["random_walk", "dispersion", "scatter", "probe"],
-        help="workload(s) to measure (repeatable; default: all four)",
     )
     bench_p.add_argument(
         "--nodes",
@@ -482,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="BASELINE",
         help="compare against a committed BENCH_kernel.json: the "
-        "vectorized/reference speedup ratio per workload must stay within "
+        "vectorized/reference probe speedup ratio must stay within "
         "--tolerance of the baseline's (absolute steps/s are reported but "
         "not gated -- they are hardware-dependent)",
     )
@@ -984,13 +977,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     backends = list(dict.fromkeys(args.backend)) or available_backends()
     for name in backends:
         require_backend(name)
-    workloads = list(dict.fromkeys(args.workload)) or list(bench_mod.WORKLOADS)
     scale = list(dict.fromkeys(args.nodes))
 
     def _run() -> Dict[str, Any]:
         return bench_mod.run_bench(
             backends=backends,
-            workloads=workloads,
             agents=args.agents,
             seed=args.seed,
             quick=args.quick,

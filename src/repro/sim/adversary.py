@@ -276,7 +276,7 @@ class AdaptiveCollisionAdversary(_AdaptiveAdversary):
         engine = self._engine
         if engine is None or self._rng.random() >= self._crowd_bias:
             return self._rng.choice(self.agent_ids)
-        occupancy = engine._occupancy
+        occupancy = engine.kernel.occupancy
         crowd: Set[int] = max(
             (occupancy[node] for node in range(len(occupancy)) if occupancy[node]),
             key=len,

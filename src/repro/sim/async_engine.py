@@ -98,10 +98,10 @@ class AsyncEngine:
         name or instance; ``None`` resolves from the ambient context, falling
         back to the ``"reference"`` default.
 
-    Construction is fully delegated to
-    :meth:`ExecutionKernel.for_engine` (shared verbatim with
-    :class:`~repro.sim.sync_engine.SyncEngine`); scenario-level wiring lives
-    one layer up in :func:`repro.runner.execute.build_engine`.
+    Construction is delegated to the :class:`ExecutionKernel` constructor
+    (shared verbatim with :class:`~repro.sim.sync_engine.SyncEngine`);
+    scenario-level wiring lives one layer up in
+    :func:`repro.runner.execute.build_engine`.
     """
 
     def __init__(
@@ -114,10 +114,10 @@ class AsyncEngine:
         invariant_checker: Optional[InvariantChecker] = None,
         backend: Union[None, str, KernelBackend] = None,
     ) -> None:
-        self._kernel = ExecutionKernel.for_engine(
-            "async",
+        self._kernel = ExecutionKernel(
             graph,
             agents,
+            time_attr="activations",
             fault_injector=fault_injector,
             invariant_checker=invariant_checker,
             backend=backend,
@@ -159,14 +159,6 @@ class AsyncEngine:
     @property
     def invariant_checker(self) -> Optional[InvariantChecker]:
         return self._kernel.invariant_checker
-
-    @property
-    def _occupancy(self) -> List[Set[int]]:
-        return self._kernel.occupancy
-
-    @property
-    def _moves_per_agent(self) -> Dict[int, int]:
-        return self._kernel.moves_per_agent
 
     # ------------------------------------------------------------- programs
     def assign(self, agent_id: int, program: Program) -> None:

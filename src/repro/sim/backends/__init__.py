@@ -1,15 +1,17 @@
 """Kernel-backend registry: the execution representation axis.
 
 A *backend* decides how the :class:`~repro.sim.kernel.ExecutionKernel` stores
-the world and lands moves; the kernel's semantics (fault clock, visibility
-contract, metrics) are backend-independent.  Two backends ship:
+the world, lands moves, and answers the drivers' settled-agent queries; the
+kernel's semantics (fault clock, visibility contract, metrics) are
+backend-independent.  Two backends ship:
 
 ``reference``
     The original per-agent Python loop (the oracle; always available).
 ``vectorized``
-    numpy struct-of-arrays over the graph's CSR tables, for 10^5..10^6-node
-    worlds.  Needs the ``fast`` extra; reported unavailable (not a crash)
-    when numpy is missing.
+    The reference state plus a settled-agent index (per-node settled count
+    and id-sum arrays, home-node id sets) that answers the probe and
+    home-settler queries without scanning a node's occupants.  Needs the
+    ``fast`` extra; reported unavailable (not a crash) when numpy is missing.
 
 Like the scheduler axis, the backend is selected by *name* so it can travel
 through scenario specs, CLI flags, and the ambient instrumentation context:

@@ -8,14 +8,13 @@ is differentially tested against this one (see
 changes to the simulator itself -- they require a ``code_version`` bump for
 every registered algorithm.
 
-The batch-stepping tier -- ``run_walk`` plus the deterministic driver-phase
-primitives (``settled_present`` / ``home_settler_at`` / ``has_home_settler``
-/ ``run_probe_round`` / ``run_scatter`` / ``run_phase``) -- is inherited
+The driver-phase primitives (``settled_present`` / ``home_settler_at`` /
+``has_home_settler`` / ``run_probe_round`` / ``run_scatter``) are inherited
 unchanged from :class:`~repro.sim.backends.base.KernelBackend`: the generic
 bodies there *are* this oracle's implementation (the original per-round
 driver loops, extracted verbatim), exactly as the per-op tier below is the
-original kernel loop.  Vectorized backends override them with array code and
-are pinned to the answers produced here.
+original kernel loop.  The vectorized backend answers the settled queries
+from an index and is pinned to the answers produced here.
 """
 
 from __future__ import annotations
@@ -92,6 +91,3 @@ class ReferenceBackend(KernelBackend):
 
     def positions(self) -> Dict[int, int]:
         return {a.agent_id: a.position for a in self.kernel.agents.values()}
-
-    def occupancy_counts(self) -> List[int]:
-        return [len(ids) for ids in self._occupancy]

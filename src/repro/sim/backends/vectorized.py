@@ -1,57 +1,49 @@
-"""Numpy struct-of-arrays backend over the graph's CSR port tables.
+"""The reference backend plus an incrementally maintained settled-agent index.
 
-State layout (``k`` agents, ``n`` nodes):
+The paper's drivers work on a few co-located agents per round; the question
+they ask the world most often is "is a settled agent here, or at home here?"
+(Sync_Probe's met-check, the DFS head's ``α(w)`` lookup, the scatter drivers'
+free-node test).  This backend inherits the reference backend's world state
+and move mechanics unchanged and adds only an index that answers those
+questions without scanning the node's occupants:
 
-* ``_ids``        -- int64[k], sorted agent ids; ``_slot`` maps id -> row.
-* ``_pos``        -- int64[k], current node per agent (authoritative; kept in
-  lockstep with the ``Agent`` objects so the two views never diverge).
-* ``_occ_count``  -- int64[n], the per-node occupancy histogram.
-* ``_occ``        -- the same live ``List[Set[int]]`` the reference backend
-  keeps.  Exact query parity (sorted-id communication queries, adversaries
-  that inspect ``engine._occupancy``) requires the id sets; the histogram
-  answers the pure counting queries without touching them.
-* CSR views      -- zero-copy int64 views of the graph's flat
-  ``(offsets, neighbors, reverse_ports)`` arrays plus a degree vector,
-  refreshed whenever :attr:`PortLabeledGraph.churn_count` moves (edge churn
-  rebuilds the flat arrays in place).
+* ``_settled_count`` / ``_settled_idsum`` -- int64[n], count and id-sum of the
+  settled *bodies* per node.  Together they decide "is a settled agent other
+  than X here" exactly: ids are unique, so count >= 2 always has another, and
+  the count == 1 body is agent idsum.
+* ``_home_ids`` -- home node -> ids of the agents settled there, for the
+  home-settler queries.
 
-The **per-operation tier** stays observably identical to the reference
-backend: batched moves are *planned* with one fancy-indexing pass over the
-CSR tables (bounds check, destination and reverse-port lookup, first
-offending move reported with the graph's exact error message), then landed
-on the Agent objects in the same order the reference loop lands them.  The
-**batch-stepping tier** (:meth:`VectorizedBackend.run_walk`) never leaves
-numpy between rounds -- port draws, edge crossings, fault masks, and the
-settle rule are all array ops -- and syncs the Agent objects, occupancy sets,
-and metrics back once at the end.
+The index is kept current by the ``Agent`` settle/unsettle observer hooks and
+by re-keying settled bodies (oscillators move while settled) after every
+move.  It is not fault-filtered, so under a fault injector every query defers
+to the reference scan -- the settled queries are Communicate queries.
 
-numpy is an optional dependency (the ``fast`` extra): importing this module
-is always safe, constructing the backend without numpy raises
+numpy is an optional dependency (the ``fast`` extra) and is imported only
+when a vectorized backend is built, so ``import repro`` never pays for it:
+constructing the backend without numpy raises
 :class:`~repro.sim.backends.BackendUnavailableError` with install guidance.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from typing import Dict, List, Mapping, Optional, Sequence, Set
-
-try:  # pragma: no cover - exercised via is_available() in both states
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-less environments
-    np = None
 
 from repro.agents.agent import Agent
 from repro.sim.backends.base import KernelBackend
+from repro.sim.backends.reference import ReferenceBackend
 
 __all__ = ["VectorizedBackend"]
 
 
-class VectorizedBackend(KernelBackend):
-    """Struct-of-arrays world state for interactive 10^5..10^6-node runs."""
+class VectorizedBackend(ReferenceBackend):
+    """Reference world state plus the settled-agent index."""
 
     name = "vectorized"
 
     def __init__(self) -> None:
-        if np is None:
+        if not self.is_available():
             from repro.sim.backends import BackendUnavailableError
 
             raise BackendUnavailableError(
@@ -63,29 +55,15 @@ class VectorizedBackend(KernelBackend):
 
     @classmethod
     def is_available(cls) -> bool:
-        return np is not None
+        return importlib.util.find_spec("numpy") is not None
 
     # ------------------------------------------------------------------ state
     def rebuild(self) -> None:
+        import numpy as np
+
+        super().rebuild()
         kernel = self.kernel
         n = kernel.graph.num_nodes
-        ids = sorted(kernel.agents)
-        self._ids = np.asarray(ids, dtype=np.int64)
-        self._slot: Dict[int, int] = {agent_id: i for i, agent_id in enumerate(ids)}
-        self._pos = np.asarray(
-            [kernel.agents[a].position for a in ids], dtype=np.int64
-        )
-        self._occ_count = np.bincount(self._pos, minlength=n).astype(np.int64)
-        self._occ: List[Set[int]] = [set() for _ in range(n)]
-        for agent_id, node in zip(ids, self._pos.tolist()):
-            self._occ[node].add(agent_id)
-        # Settled-agent indexes behind the deterministic driver-phase
-        # primitives: a per-node count and id-sum of settled *bodies* (count
-        # and idsum together decide "is a settled agent other than X here"
-        # exactly: ids are unique, so count>=2 always has another, and the
-        # count==1 body is agent idsum), plus home-node -> settled ids for the
-        # home-settler queries.  Kept current by the Agent settle/unsettle
-        # observer hooks and by the settled-mover updates in the move paths.
         self._settled_count = np.zeros(n, dtype=np.int64)
         self._settled_idsum = np.zeros(n, dtype=np.int64)
         self._home_ids: Dict[int, Set[int]] = {}
@@ -95,8 +73,6 @@ class VectorizedBackend(KernelBackend):
                 self._settled_count[agent.position] += 1
                 self._settled_idsum[agent.position] += agent.agent_id
                 self._home_ids.setdefault(agent.home, set()).add(agent.agent_id)
-        self._churn_seen: Optional[int] = None
-        self._refresh_csr()
 
     # ------------------------------------------------- settled-index upkeep
     def notify_settle(self, agent: Agent) -> None:
@@ -125,228 +101,26 @@ class VectorizedBackend(KernelBackend):
         self._settled_count[dst] += 1
         self._settled_idsum[dst] += agent.agent_id
 
-    def _refresh_csr(self) -> None:
-        """(Re)view the graph's CSR arrays; cheap no-op while churn is quiet."""
-        graph = self.kernel.graph
-        if graph.churn_count == self._churn_seen:
-            return
-        offsets, neighbors, reverse = graph.adjacency_arrays()
-        # array('l') is 64-bit on the platforms we target; frombuffer gives a
-        # zero-copy view that stays valid until the next rewire (tracked by
-        # churn_count, which every rewire bumps).
-        self._offsets = np.frombuffer(offsets, dtype=np.int64)
-        self._nbr = np.frombuffer(neighbors, dtype=np.int64)
-        self._rev = np.frombuffer(reverse, dtype=np.int64)
-        self._deg = self._offsets[1:] - self._offsets[:-1]
-        self._churn_seen = graph.churn_count
-
-    @property
-    def occupancy(self) -> List[Set[int]]:
-        return self._occ
-
     # ---------------------------------------------------------------- movement
+    # The reference moves land first; a failed move raises before mutating
+    # anything, so the index is only re-keyed for moves that happened.
+
     def apply_move(self, agent: Agent, port: int) -> None:
-        # A single activation moves a single agent: the scalar graph lookup is
-        # both faster than a 1-element array pass and exactly the reference
-        # code path (same bounds check, same error message).
-        kernel = self.kernel
         src = agent.position
-        dst, rev = kernel.graph.move(src, port)
-        self._occ[src].discard(agent.agent_id)
-        agent.arrive(dst, rev)
-        self._occ[dst].add(agent.agent_id)
+        super().apply_move(agent, port)
         if agent.settled:
-            self._settled_body_moved(agent, src, dst)
-        slot = self._slot[agent.agent_id]
-        self._pos[slot] = dst
-        self._occ_count[src] -= 1
-        self._occ_count[dst] += 1
-        kernel.metrics.total_moves += 1
-        count = kernel.moves_per_agent.get(agent.agent_id, 0) + 1
-        kernel.moves_per_agent[agent.agent_id] = count
-        if count > kernel.metrics.max_moves_per_agent:
-            kernel.metrics.max_moves_per_agent = count
+            self._settled_body_moved(agent, src, agent.position)
 
     def apply_batch(self, moves: Mapping[int, Optional[int]]) -> None:
-        kernel = self.kernel
-        movers: List[Agent] = []
-        slots_list: List[int] = []
-        ports_list: List[int] = []
+        agents = self.kernel.agents
+        settled_sources = []
         for agent_id, port in moves.items():
-            if port is None:
-                continue
-            movers.append(kernel.agents[agent_id])
-            slots_list.append(self._slot[agent_id])
-            ports_list.append(port)
-        if not movers:
-            return
-        self._refresh_csr()
-        slots = np.asarray(slots_list, dtype=np.int64)
-        ports = np.asarray(ports_list, dtype=np.int64)
-        src = self._pos[slots]
-        deg = self._deg[src]
-        bad = (ports < 1) | (ports > deg)
-        if bad.any():
-            # Report the first offender in mapping order, with the exact
-            # message PortLabeledGraph.move raises, before mutating anything.
-            i = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"node {int(src[i])} has no port {int(ports[i])} "
-                f"(degree {int(deg[i])})"
-            )
-        edge = self._offsets[src] + ports - 1
-        dst = self._nbr[edge]
-        rev = self._rev[edge]
-        occupancy = self._occ
-        for agent, s in zip(movers, src.tolist()):
-            occupancy[s].discard(agent.agent_id)
-        moves_per_agent = kernel.moves_per_agent
-        max_moves = kernel.metrics.max_moves_per_agent
-        for agent, s, d, r in zip(movers, src.tolist(), dst.tolist(), rev.tolist()):
-            agent.arrive(d, r)
-            occupancy[d].add(agent.agent_id)
-            if agent.settled:
-                self._settled_body_moved(agent, s, d)
-            count = moves_per_agent.get(agent.agent_id, 0) + 1
-            moves_per_agent[agent.agent_id] = count
-            if count > max_moves:
-                max_moves = count
-        self._pos[slots] = dst
-        np.subtract.at(self._occ_count, src, 1)
-        np.add.at(self._occ_count, dst, 1)
-        kernel.metrics.total_moves += len(movers)
-        kernel.metrics.max_moves_per_agent = max_moves
-
-    # ------------------------------------------------------------ observation
-    def present_ids(self, node: int) -> List[int]:
-        return sorted(self._occ[node])
-
-    def occupied(self, node: int) -> bool:
-        return bool(self._occ_count[node])
-
-    def positions(self) -> Dict[int, int]:
-        # Answered from the arrays (the authoritative vectorized state); dict
-        # equality with the reference answer is part of the parity contract.
-        return {
-            int(agent_id): int(node)
-            for agent_id, node in zip(self._ids, self._pos)
-        }
-
-    def occupancy_counts(self) -> Sequence[int]:
-        return self._occ_count.tolist()
-
-    # ------------------------------------------------------- batch stepping
-    def run_walk(self, rounds: int, seed: int, settle: bool = False) -> int:
-        """Array-only random-walk rounds; syncs world state back at the end.
-
-        Same workload semantics as the generic implementation (uniform port
-        per unsettled unblocked agent, simultaneous landing, min-id settle
-        rule, early stop when everyone settled, crash/freeze masks and churn
-        honoured per round) -- but the per-round work is pure numpy, which is
-        where the backend's steps-per-second headroom comes from.
-        """
-        kernel = self.kernel
-        agents = kernel.agents
-        injector = kernel.fault_injector
-        rng = np.random.default_rng(seed)
-        k = len(self._ids)
-        n = kernel.graph.num_nodes
-        self._refresh_csr()
-        pos = self._pos.copy()
-        pin = np.full(k, -1, dtype=np.int64)  # -1: never moved in this block
-        moved = np.zeros(k, dtype=np.int64)
-        settled = np.asarray(
-            [agents[a].settled for a in self._ids.tolist()], dtype=bool
-        )
-        # node -> has a settled home agent (settled agents never move here).
-        has_settler = np.zeros(n, dtype=bool)
-        for agent in agents.values():
-            if agent.settled and agent.home is not None:
-                has_settler[agent.home] = True
-        steps = 0
-        for _ in range(rounds):
-            if settle and bool(settled.all()):
-                break
-            now = kernel.metrics.rounds
-            blocked = np.zeros(k, dtype=bool)
-            if injector is not None:
-                injector.begin_tick(now, kernel)
-                self._refresh_csr()  # churn may have rewired edges this tick
-                for agent_id in injector.blocked_cycle_agents(now):
-                    slot = self._slot.get(agent_id)
-                    if slot is not None:
-                        blocked[slot] = True
-            active = ~settled & ~blocked
-            count = int(active.sum())
-            if count:
-                src = pos[active]
-                deg = self._deg[src]
-                ports = (rng.random(count) * deg).astype(np.int64)  # 0-based
-                edge = self._offsets[src] + ports
-                pos[active] = self._nbr[edge]
-                pin[active] = self._rev[edge]
-                moved[active] += 1
-                steps += count
-            kernel.metrics.rounds += 1
-            if settle:
-                candidates = np.flatnonzero(~settled & ~blocked)
-                if candidates.size:
-                    nodes = pos[candidates]
-                    open_node = ~has_settler[nodes]
-                    candidates = candidates[open_node]
-                    nodes = nodes[open_node]
-                    if candidates.size:
-                        # Min-slot (== min-id: slots are id-sorted) per node.
-                        order = np.lexsort((candidates, nodes))
-                        candidates = candidates[order]
-                        nodes = nodes[order]
-                        first = np.ones(len(nodes), dtype=bool)
-                        first[1:] = nodes[1:] != nodes[:-1]
-                        winners = candidates[first]
-                        settled[winners] = True
-                        has_settler[nodes[first]] = True
-            if kernel.trace is not None:
-                # The Agent objects only sync back after the block, so the
-                # recorder diffs against the live arrays instead; the RNG
-                # stream is untouched, so tracing cannot change the walk.
-                ids = self._ids.tolist()
-                kernel.trace.record_tick(
-                    positions={
-                        int(a): int(p) for a, p in zip(ids, pos.tolist())
-                    },
-                    settled={
-                        int(a) for a, s in zip(ids, settled.tolist()) if s
-                    },
-                )
-        self._sync_back(pos, pin, moved, settled)
-        return steps
-
-    def _sync_back(self, pos, pin, moved, settled) -> None:
-        """Land the block's end state on the Agents, occupancy, and metrics."""
-        kernel = self.kernel
-        agents = kernel.agents
-        occupancy = self._occ
-        moves_per_agent = kernel.moves_per_agent
-        max_moves = kernel.metrics.max_moves_per_agent
-        for slot, agent_id in enumerate(self._ids.tolist()):
-            agent = agents[agent_id]
-            count = int(moved[slot])
-            if count:
-                occupancy[agent.position].discard(agent_id)
-                agent.arrive(int(pos[slot]), int(pin[slot]))
-                occupancy[agent.position].add(agent_id)
-                total = moves_per_agent.get(agent_id, 0) + count
-                moves_per_agent[agent_id] = total
-                if total > max_moves:
-                    max_moves = total
-            if settled[slot] and not agent.settled:
-                agent.settle(int(pos[slot]), None)
-        kernel.metrics.total_moves += int(moved.sum())
-        kernel.metrics.max_moves_per_agent = max_moves
-        self._pos[:] = pos
-        self._occ_count = np.bincount(
-            pos, minlength=kernel.graph.num_nodes
-        ).astype(np.int64)
+            agent = agents.get(agent_id)  # unknown ids raise in super(), in order
+            if port is not None and agent is not None and agent.settled:
+                settled_sources.append((agent, agent.position))
+        super().apply_batch(moves)
+        for agent, src in settled_sources:
+            self._settled_body_moved(agent, src, agent.position)
 
     # ------------------------------------------------- settled-agent queries
     # Deterministic primitives: index-answered only when no fault injector is
@@ -394,149 +168,15 @@ class VectorizedBackend(KernelBackend):
     ) -> List[bool]:
         if self.kernel.fault_injector is not None:
             return super().run_probe_round(nodes, exclude_ids)
+        import numpy as np
+
         nodes_arr = np.asarray(nodes, dtype=np.int64)
         excl = np.asarray(exclude_ids, dtype=np.int64)
         count = self._settled_count[nodes_arr]
         met = (count > 1) | ((count == 1) & (self._settled_idsum[nodes_arr] != excl))
         return met.tolist()
 
-    # --------------------------------------------------------- phase driving
-    def run_phase(self, engine: "SyncEngine", rounds: int) -> None:
-        kernel = self.kernel
-        if (
-            kernel.fault_injector is not None
-            or kernel.invariant_checker is not None
-            or kernel.trace is not None
-        ):
-            return super().run_phase(engine, rounds)
-        if rounds <= 0:
-            return
-        metrics = kernel.metrics
-        # Idle rounds with nothing observing them collapse to arithmetic on
-        # the round counter; the max_rounds cap fails exactly like the
-        # per-round loop (counter parked at the cap, same message).
-        if engine.max_rounds is not None and metrics.rounds + rounds > engine.max_rounds:
-            metrics.rounds = max(metrics.rounds, engine.max_rounds)
-            raise RuntimeError(
-                f"exceeded max_rounds={engine.max_rounds}; "
-                "the algorithm is probably not terminating"
-            )
-        metrics.rounds += rounds
-
-    def run_scatter(
-        self,
-        engine: "SyncEngine",
-        walker_ids: Sequence[int],
-        start: int,
-        ports: Sequence[int],
-        counter: Optional[str] = None,
-    ) -> int:
-        kernel = self.kernel
-        if kernel.invariant_checker is not None or kernel.trace is not None:
-            # Those observers must see every individual round; the generic
-            # per-round engine.step path is the contract bearer there.
-            return super().run_scatter(engine, walker_ids, start, ports, counter)
-        agents = kernel.agents
-        metrics = kernel.metrics
-        injector = kernel.fault_injector
-        self._refresh_csr()
-        # The generic path builds one moves dict per hop, so duplicate walker
-        # ids collapse; mirror that before tracking per-walker state.
-        walker_ids = list(dict.fromkeys(walker_ids))
-        k = len(walker_ids)
-        wagents = [agents[a] for a in walker_ids]
-        wslots = np.asarray(
-            [self._slot[a] for a in walker_ids], dtype=np.int64
-        )
-        wpos = self._pos[wslots].copy() if k else np.zeros(0, dtype=np.int64)
-        start_pos = wpos.copy()
-        wpin = np.zeros(k, dtype=np.int64)
-        wmoved = np.zeros(k, dtype=np.int64)
-        current = start
-        error: Optional[Exception] = None
-        for port in ports:
-            if engine.max_rounds is not None and metrics.rounds >= engine.max_rounds:
-                error = RuntimeError(
-                    f"exceeded max_rounds={engine.max_rounds}; "
-                    "the algorithm is probably not terminating"
-                )
-                break
-            movers = wpos == current
-            if injector is not None:
-                now = metrics.rounds
-                injector.begin_tick(now, engine)
-                self._refresh_csr()  # churn may have rewired edges this tick
-                blocked = injector.blocked_cycle_agents(now)
-                if blocked:
-                    for agent_id in sorted(blocked):
-                        if agent_id in agents:
-                            injector.record_blocked(agent_id, now)
-                    # blocked_for_move is exactly blocked-for-cycle membership
-                    # (v2 contract), applied array-side.
-                    movers &= np.asarray(
-                        [a not in blocked for a in walker_ids], dtype=bool
-                    )
-            moving = bool(movers.any())
-            deg = int(self._deg[current])
-            valid = 1 <= port <= deg
-            if moving and not valid:
-                # apply_batch raises inside step(), before the round counts.
-                error = ValueError(
-                    f"node {current} has no port {port} (degree {deg})"
-                )
-                break
-            if moving:
-                i = int(self._offsets[current]) + port - 1
-                wpos[movers] = self._nbr[i]
-                wpin[movers] = self._rev[i]
-                wmoved[movers] += 1
-            metrics.rounds += 1
-            if not valid:
-                # graph.neighbor raises after the step already counted.
-                error = ValueError(
-                    f"node {current} has no port {port} (degree {deg})"
-                )
-                break
-            current = int(self._nbr[int(self._offsets[current]) + port - 1])
-            if counter is not None:
-                metrics.bump(counter)
-        # Land partial state before re-raising: the per-round path mutates as
-        # it goes, so post-error world state must match it exactly.
-        self._finish_scatter(wagents, wslots, wpos, wpin, wmoved, start_pos)
-        if error is not None:
-            raise error
-        return current
-
-    def _finish_scatter(
-        self, wagents, wslots, wpos, wpin, wmoved, start_pos
-    ) -> None:
-        """Sync the scatter pack's end state back onto the per-op structures."""
-        kernel = self.kernel
-        occupancy = self._occ
-        moves_per_agent = kernel.moves_per_agent
-        max_moves = kernel.metrics.max_moves_per_agent
-        total = 0
-        for i, agent in enumerate(wagents):
-            count = int(wmoved[i])
-            if not count:
-                continue
-            src = int(start_pos[i])
-            dst = int(wpos[i])
-            occupancy[src].discard(agent.agent_id)
-            agent.arrive(dst, int(wpin[i]))
-            occupancy[dst].add(agent.agent_id)
-            if agent.settled:
-                self._settled_body_moved(agent, src, dst)
-            total += count
-            tally = moves_per_agent.get(agent.agent_id, 0) + count
-            moves_per_agent[agent.agent_id] = tally
-            if tally > max_moves:
-                max_moves = tally
-        if not total:
-            return
-        kernel.metrics.total_moves += total
-        kernel.metrics.max_moves_per_agent = max_moves
-        self._pos[wslots] = wpos
-        moved_mask = wmoved > 0
-        np.subtract.at(self._occ_count, start_pos[moved_mask], 1)
-        np.add.at(self._occ_count, wpos[moved_mask], 1)
+    # The generic per-round scatter walk, bound here by name: perfbench's
+    # tracer (perfbench/tracer.py) wraps each backend's own run_scatter, and
+    # the re-keying apply_batch above keeps the index current on every hop.
+    run_scatter = KernelBackend.run_scatter

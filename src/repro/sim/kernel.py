@@ -11,8 +11,8 @@ lives here, in one :class:`ExecutionKernel` that both
 
 * the agent table and the pluggable **state backend**
   (:mod:`repro.sim.backends`) holding the dense per-node occupancy and
-  applying moves -- the per-agent reference loop or the numpy
-  struct-of-arrays layout, selected per scenario,
+  applying moves -- the per-agent reference loop, optionally with a
+  settled-agent index, selected per scenario,
 * move application (single activation moves and simultaneous SYNC batches)
   with the per-agent move accounting behind ``max_moves_per_agent``,
 * resolution of the fault injector / invariant checker / backend from
@@ -133,36 +133,6 @@ class ExecutionKernel:
         self.trace: Optional["TraceRecorder"] = None
         if config is not None and config.trace:
             self.trace = config.make_recorder(self)
-
-    @classmethod
-    def for_engine(
-        cls,
-        setting: str,
-        graph: PortLabeledGraph,
-        agents: Iterable[Agent],
-        *,
-        fault_injector: Optional[FaultInjector] = None,
-        invariant_checker: Optional[InvariantChecker] = None,
-        backend: Union[None, str, KernelBackend] = None,
-    ) -> "ExecutionKernel":
-        """The one construction path both engine facades delegate to.
-
-        ``setting`` is ``"sync"`` or ``"async"`` and picks the native clock;
-        everything else is the constructor, so fault/invariant/backend wiring
-        cannot drift between the facades (see also
-        :func:`repro.runner.execute.build_engine`, which layers scenario
-        wiring on top of this).
-        """
-        if setting not in ("sync", "async"):
-            raise ValueError(f"setting must be 'sync' or 'async', got {setting!r}")
-        return cls(
-            graph,
-            agents,
-            time_attr="activations" if setting == "async" else "rounds",
-            fault_injector=fault_injector,
-            invariant_checker=invariant_checker,
-            backend=backend,
-        )
 
     @property
     def occupancy(self) -> List[Set[int]]:

@@ -20,7 +20,7 @@ at its own node only) are the kernel's, re-exported unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.agents.agent import Agent
 from repro.graph.port_graph import PortLabeledGraph
@@ -56,10 +56,10 @@ class SyncEngine:
         name or instance; ``None`` resolves from the ambient context, falling
         back to the ``"reference"`` default.
 
-    Construction is fully delegated to
-    :meth:`ExecutionKernel.for_engine` (shared verbatim with
-    :class:`~repro.sim.async_engine.AsyncEngine`); scenario-level wiring
-    lives one layer up in :func:`repro.runner.execute.build_engine`.
+    Construction is delegated to the :class:`ExecutionKernel` constructor
+    (shared verbatim with :class:`~repro.sim.async_engine.AsyncEngine`);
+    scenario-level wiring lives one layer up in
+    :func:`repro.runner.execute.build_engine`.
     """
 
     def __init__(
@@ -71,10 +71,10 @@ class SyncEngine:
         invariant_checker: Optional[InvariantChecker] = None,
         backend: Union[None, str, KernelBackend] = None,
     ) -> None:
-        self._kernel = ExecutionKernel.for_engine(
-            "sync",
+        self._kernel = ExecutionKernel(
             graph,
             agents,
+            time_attr="rounds",
             fault_injector=fault_injector,
             invariant_checker=invariant_checker,
             backend=backend,
@@ -106,14 +106,6 @@ class SyncEngine:
     @property
     def invariant_checker(self) -> Optional[InvariantChecker]:
         return self._kernel.invariant_checker
-
-    @property
-    def _occupancy(self) -> List[Set[int]]:
-        return self._kernel.occupancy
-
-    @property
-    def _moves_per_agent(self) -> Dict[int, int]:
-        return self._kernel.moves_per_agent
 
     # ----------------------------------------------------------------- round
     @property
@@ -164,18 +156,6 @@ class SyncEngine:
             kernel.invariant_checker.after_tick(metrics.rounds)
         if kernel.trace is not None:
             kernel.trace.record_tick()
-
-    def idle_rounds(self, count: int) -> None:
-        """Advance ``count`` rounds in which nobody the caller controls moves.
-
-        Background processes (oscillators) are *not* advanced by this method --
-        it exists only for algorithms with no background activity that must wait
-        (e.g. the sequential-probe baselines waiting for a reply convention).
-        Rides the backend's :meth:`~repro.sim.backends.KernelBackend.run_phase`
-        batch primitive (O(1) on the vectorized backend when no injector,
-        checker, or trace must observe the individual rounds).
-        """
-        self._kernel.backend.run_phase(self, count)
 
     def step_path(
         self,

@@ -5,13 +5,18 @@ the per-operation tier: every mutation, query answer, metrics counter, and
 error message must match the reference backend exactly (the differential
 suite in ``test_backend_differential.py`` extends this to whole algorithm
 records).  These tests pin the contract at the unit level -- lockstep rounds,
-error paths, churned port tables, and the batch-walk sync-back -- plus the
-registry/spec/factory plumbing the axis travels through.
+error paths, churned port tables, and the settled index behind the
+driver-phase primitives -- plus the registry/spec/factory plumbing the axis
+travels through.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,7 +61,6 @@ def snapshot(engine):
     return {
         "positions": engine.kernel.positions(),
         "occupancy": [set(s) for s in engine.kernel.occupancy],
-        "counts": list(engine.kernel.backend.occupancy_counts()),
         "occupied": [engine.kernel.occupied(v) for v in range(n)],
         "present": [engine.kernel.backend.present_ids(v) for v in range(n)],
         "total_moves": engine.metrics.total_moves,
@@ -98,9 +102,7 @@ def test_resolve_backend_coerces_none_name_and_instance():
 
 def test_vectorized_unavailable_without_numpy(monkeypatch):
     """Without numpy the backend reports unavailable and fails with guidance."""
-    import repro.sim.backends.vectorized as vec
-
-    monkeypatch.setattr(vec, "np", None)
+    monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy -> ImportError
     assert not backend_available("vectorized")
     assert available_backends() == ["reference"]
     with pytest.raises(BackendUnavailableError, match="fast"):
@@ -112,6 +114,20 @@ def test_vectorized_unavailable_without_numpy(monkeypatch):
     engine = SyncEngine(graph, agents)
     engine.step({})
     assert engine.metrics.rounds == 1
+
+
+def test_importing_the_runner_leaves_numpy_unloaded():
+    """numpy is imported only when a vectorized backend is built, so reference
+    runs and sweep workers never pay its import time or memory."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, repro.runner.execute, repro.store; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_engine_rejects_unknown_backend_name():
@@ -153,7 +169,7 @@ def test_lockstep_parity_on_random_graph():
 
 @needs_vectorized
 def test_apply_move_parity_and_port_memory():
-    """The ASYNC single-move primitive updates arrays and Agent alike."""
+    """The ASYNC single-move primitive updates occupancy and Agent alike."""
     for backend in ("reference", "vectorized"):
         graph, agents = make_world(n=10, k=3)
         engine = SyncEngine(graph, agents, backend=backend)
@@ -187,11 +203,12 @@ def test_apply_batch_error_message_parity():
 
 @needs_vectorized
 def test_vectorized_occupancy_is_the_engines_live_alias():
-    """Adversaries hold ``engine._occupancy``; it must stay the live object."""
+    """Adversaries hold ``engine.kernel.occupancy``; it must stay the live
+    object."""
     graph, agents = make_world(n=8, k=4)
     engine = SyncEngine(graph, agents, backend="vectorized")
-    held = engine._occupancy
-    assert held is engine.kernel.occupancy
+    held = engine.kernel.occupancy
+    assert held is engine.kernel.backend.occupancy
     engine.step({1: 1})
     assert held is engine.kernel.occupancy
     assert 1 in held[graph.neighbor(0, 1)]
@@ -199,7 +216,8 @@ def test_vectorized_occupancy_is_the_engines_live_alias():
 
 @needs_vectorized
 def test_parity_survives_edge_churn():
-    """``rewire`` rebuilds the CSR tables; the vectorized views must follow."""
+    """``rewire`` renumbers ports; both backends must route through the new
+    tables."""
     engines = []
     for backend in ("reference", "vectorized"):
         graph, agents = make_world(n=12, k=6, seed=3)
@@ -225,73 +243,11 @@ def test_parity_survives_edge_churn():
         assert snapshot(ref) == snapshot(vec)
 
 
-@needs_vectorized
-def test_batch_walk_sync_back_restores_full_consistency():
-    """After ``run_walk`` the Agent objects, occupancy, and metrics agree with
-    the arrays -- and further per-op stepping behaves as if the rounds had been
-    stepped one by one."""
-    graph, agents = make_world(n=16, k=8, seed=5)
-    engine = SyncEngine(graph, agents, backend="vectorized")
-    backend = engine.kernel.backend
-    steps = backend.run_walk(30, seed=11)
-    assert steps == 30 * 8  # nobody settled: every agent walks every round
-    assert engine.metrics.rounds == 30
-    assert engine.metrics.total_moves == steps
-    snap = snapshot(engine)
-    assert sum(snap["counts"]) == 8
-    for agent in agents:
-        assert agent.agent_id in engine.kernel.occupancy[agent.position]
-        assert snap["positions"][agent.agent_id] == agent.position
-    assert sum(snap["moves_per_agent"].values()) == steps
-    # the per-op tier continues seamlessly from the synced state
-    engine.step({1: 1})
-    assert engine.agents[1].position == graph.neighbor(snap["positions"][1], 1)
-
-
-@needs_vectorized
-@pytest.mark.parametrize("backend", ["reference", "vectorized"])
-def test_batch_walk_settle_disperses_and_stops_early(backend):
-    graph, agents = make_world(n=16, k=8, seed=5)
-    engine = SyncEngine(graph, agents, backend=backend)
-    engine.kernel.backend.run_walk(10_000, seed=1, settle=True)
-    assert all(a.settled for a in agents)
-    homes = sorted(a.home for a in agents)
-    assert len(set(homes)) == len(agents)  # distinct nodes: dispersed
-    assert engine.metrics.rounds < 10_000  # early exit on full settlement
-    for agent in agents:
-        assert agent.position == agent.home
-
-
-@needs_vectorized
-def test_batch_walk_respects_crash_and_freeze_masks():
-    """Blocked agents neither walk nor settle inside the batch tier."""
-    for backend in ("reference", "vectorized"):
-        graph, agents = make_world(n=16, k=6, seed=2)
-        engine = build_engine(
-            graph=graph,
-            agents=agents,
-            fault_schedule=FaultSchedule(crash_at={3: 0}, freeze_windows={5: (0, 4)}),
-            backend=backend,
-        )
-        engine.kernel.backend.run_walk(4, seed=9, settle=True)
-        assert engine.agents[3].position == 0  # crashed on the start node
-        assert not engine.agents[3].settled
-        assert engine.agents[5].position == 0  # still frozen through round 3
-        assert not engine.agents[5].settled
-        assert engine.kernel.moves_per_agent.get(3, 0) == 0
-        assert engine.kernel.moves_per_agent.get(5, 0) == 0
-        # after the thaw, agent 5 walks again
-        engine.kernel.backend.run_walk(3, seed=10)
-        assert engine.kernel.moves_per_agent.get(5, 0) > 0
-        assert engine.kernel.moves_per_agent.get(3, 0) == 0
-
-
 # ------------------------------------------------------- driver-phase primitives
 #
-# The DFS/probe driver phases ride four batched primitives (settled-presence
-# queries, run_probe_round, run_scatter via SyncEngine.step_path, run_phase
-# via idle_rounds).  Unlike run_walk these are *deterministic* -- they inherit
-# the per-operation tier's exact-parity contract, pinned here per primitive:
+# The DFS/probe driver phases ride three primitives (settled-presence queries,
+# run_probe_round, run_scatter via SyncEngine.step_path).  They inherit the
+# per-operation tier's exact-parity contract, pinned here per primitive:
 # masks, mid-phase faults, churn mid-round, and error ordering.
 
 
@@ -538,48 +494,6 @@ def test_step_path_parity_under_churn_mid_phase():
     assert snapshot(ref) == snapshot(vec)
     assert ref.graph.churn_count == vec.graph.churn_count > churn_before
     assert ref.fault_injector.counts == vec.fault_injector.counts
-
-
-@needs_vectorized
-def test_idle_rounds_parity_and_max_rounds_error():
-    """run_phase: the O(1) vectorized path must leave the same counters and
-    raise the same non-termination error at the same parked round count."""
-    outcomes = []
-    for backend in ("reference", "vectorized"):
-        graph, agents = make_world(n=10, k=3, seed=2)
-        engine = SyncEngine(graph, agents, backend=backend, max_rounds=10)
-        engine.idle_rounds(7)
-        assert engine.metrics.rounds == 7
-        engine.idle_rounds(0)  # no-op, no rounds consumed
-        assert engine.metrics.rounds == 7
-        with pytest.raises(RuntimeError) as err:
-            engine.idle_rounds(10)
-        outcomes.append((str(err.value), engine.metrics.rounds))
-    assert outcomes[0] == outcomes[1]
-    assert "exceeded max_rounds=10" in outcomes[0][0]
-
-
-@needs_vectorized
-def test_idle_rounds_parity_with_injector_ticks_the_fault_clock():
-    """With faults present idle rounds must tick the injector (freeze windows
-    expire during waits); the vectorized backend defers to the generic loop."""
-    engines = []
-    for backend in ("reference", "vectorized"):
-        graph, agents = make_world(n=10, k=4, seed=5)
-        engines.append(
-            build_engine(
-                graph=graph,
-                agents=agents,
-                fault_schedule=FaultSchedule(freeze_windows={1: (0, 3)}),
-                backend=backend,
-            )
-        )
-    ref, vec = engines
-    for eng in (ref, vec):
-        eng.idle_rounds(5)
-    assert ref.metrics.rounds == vec.metrics.rounds == 5
-    assert ref.fault_injector.counts == vec.fault_injector.counts
-    assert not ref.kernel.fault_view(1).blocked_for_cycle  # the freeze expired
 
 
 # ------------------------------------------------------------------ build_engine

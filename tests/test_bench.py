@@ -1,6 +1,6 @@
 """Unit tests for ``repro bench`` machinery (:mod:`repro.runner.bench`).
 
-Real measurements (the 20x acceptance lock) live in
+Real measurements (the 10x probe acceptance lock) live in
 ``benchmarks/test_backend_throughput.py``; here the budgets are shrunk to
 milliseconds so the report schema, the tier structure, the render, and the
 bench-guard gate logic are pinned without burning wall-clock.
@@ -72,29 +72,23 @@ def test_scale_tiers_replace_quick_and_ride_along_otherwise():
 def test_short_horizon_marks_reference_rows_at_large_sizes(monkeypatch):
     """Above the cutoff, reference legs run unwarmed one-round chunks and say
     so in the row; non-reference legs keep the amortizing ladder."""
-    below = bench.run_bench(["reference"], workloads=["random_walk"], quick=True)
+    below = bench.run_bench(["reference"], quick=True)
     (quick_row,) = below["tiers"]["quick"]["results"]
     assert "short_horizon" not in quick_row  # default cutoff is far above 36
     monkeypatch.setattr(bench, "SHORT_HORIZON_NODES", 32)
-    payload = bench.run_bench(
-        ["reference"], workloads=["random_walk"], quick=True, scale=[36]
-    )
+    payload = bench.run_bench(["reference"], quick=True, scale=[36])
     (row,) = payload["tiers"]["scale-36"]["results"]
     assert row["short_horizon"] is True
-    assert row["rounds"] <= bench.SHORT_HORIZON_CALLS  # chunk=1, capped calls
+    # chunk=1 (one sweep per call), capped calls
+    assert 0 < row["steps"] <= bench.SHORT_HORIZON_CALLS * row["nodes"]
 
 
-def test_scatter_and_probe_workloads_measure_real_steps():
-    payload = bench.run_bench(
-        ["reference"], workloads=["scatter", "probe"], quick=True
-    )
-    rows = {r["workload"]: r for r in payload["tiers"]["quick"]["results"]}
-    # scatter: every round moves the whole population one hop
-    assert rows["scatter"]["steps"] == rows["scatter"]["rounds"] * 36
-    assert rows["scatter"]["rounds"] > 0
-    # probe: query sweeps advance no rounds; steps count answered queries
-    assert rows["probe"]["rounds"] == 0
-    assert rows["probe"]["steps"] > 0 and rows["probe"]["steps"] % 36 == 0
+def test_probe_workload_measures_real_steps():
+    payload = bench.run_bench(["reference"], workloads=["probe"], quick=True)
+    (row,) = payload["tiers"]["quick"]["results"]
+    # query sweeps advance no rounds; steps count answered queries
+    assert row["rounds"] == 0
+    assert row["steps"] > 0 and row["steps"] % 36 == 0
 
 
 @pytest.mark.skipif(not backend_available("vectorized"), reason="numpy not installed")
@@ -117,7 +111,7 @@ def test_render_shows_every_tier_block():
     text = bench.render(payload)
     assert "kernel bench [full]" in text
     assert "kernel bench [quick]" in text
-    assert "random_walk" in text and "dispersion" in text
+    assert "probe" in text
 
 
 def test_write_and_load_report_round_trip(tmp_path):
@@ -145,7 +139,7 @@ def fake_payload(quick_ratio: float, tiers=("full", "quick")) -> dict:
         "nodes": 36,
         "agents": 36,
         "results": [],
-        "speedups": {"random_walk": {"vectorized": quick_ratio}},
+        "speedups": {"probe": {"vectorized": quick_ratio}},
     }
     return {
         "format": bench.BENCH_FORMAT,

@@ -219,7 +219,7 @@ class TestKernelFacadeParity:
         eng = SyncEngine(g, agents.values())
         assert eng.metrics is eng.kernel.metrics
         assert eng.agents is eng.kernel.agents
-        assert eng._occupancy is eng.kernel.occupancy
+        assert eng.kernel.occupancy is eng.kernel.backend.occupancy
         eng.step({1: 1})
         assert eng.kernel.moves_per_agent == {1: 1}
         assert eng.kernel.now() == 1  # the SYNC fault clock is the round count
