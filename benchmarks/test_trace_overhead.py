@@ -1,18 +1,12 @@
-"""Trace-recording overhead: disabled tracing is free, enabled is bounded.
+"""Trace-recording overhead: enabled tracing is bounded.
 
-Two locks, matching the observability PR's acceptance criteria:
-
-* **Off means free** -- with tracing disabled the recorder hooks compile
-  down to one ``is None`` check per round.  The per-round ``step`` loop is
-  held within 10% of the distilled seed loops by
-  ``benchmarks/test_engine_fastpath.py``; here the bench-guard ratio check
-  (the same one CI runs) holds the probe primitive on the committed
-  baseline (``benchmarks/BENCH_kernel.json``).
-* **On is bounded** -- enabled tracing diffs the full agent state every tick,
-  so it is *not* free; the committed trajectory data in
-  ``benchmarks/BENCH_trace.json`` (same ``repro-bench-v1`` schema as the
-  kernel baseline) records the measured overhead ratios, and this module
-  re-measures them with a generous portable ceiling.
+With tracing disabled the recorder hooks compile down to one ``is None``
+check per round; the per-round ``step`` loop is held within 10% of the
+distilled seed loops by ``benchmarks/test_engine_fastpath.py``.  Enabled
+tracing diffs the full agent state every tick, so it is *not* free: the
+committed trajectory data in ``benchmarks/BENCH_trace.json`` (a
+``repro-bench-v1`` JSON report) records the measured overhead ratios, and
+this module re-measures them with a generous portable ceiling.
 
 Regenerate the committed trajectory with::
 
@@ -21,20 +15,17 @@ Regenerate the committed trajectory with::
 
 from __future__ import annotations
 
+import json
 import time
 from typing import Any, Dict, List
 
-import pytest
-
-from repro.runner.bench import BENCH_FORMAT, check_report, load_report, run_bench, write_report
 from repro.runner.execute import run_scenario
 from repro.runner.scenario import ScenarioSpec
-from repro.sim.backends import backend_available
 from repro.sim.trace import trace_stats
 
-#: Fresh-vs-baseline band for the tracing-off bench-guard leg.  Wider than
-#: CI's 25% because this file also runs on developer laptops mid-build.
-OFF_TOLERANCE = 0.35
+#: The committed trajectory's schema tag and path.
+BENCH_FORMAT = "repro-bench-v1"
+BENCH_TRACE = "benchmarks/BENCH_trace.json"
 
 #: Portable ceiling for the traced/untraced wall-time ratio.  The committed
 #: trajectory measures ~1.2-2.5x; 8x still catches a recorder accidentally
@@ -74,8 +65,7 @@ def run_trace_bench(seed: int = 0) -> Dict[str, Any]:
 
     Returns a ``repro-bench-v1`` payload whose single ``trace`` tier lists
     one untraced and one traced leg per workload, with the per-workload
-    ratios under ``overheads`` (the analogue of the kernel report's
-    ``speedups`` -- except here *lower* is better).
+    traced/untraced ratios (lower is better) under ``overheads``.
     """
     results: List[Dict[str, Any]] = []
     overheads: Dict[str, float] = {}
@@ -111,20 +101,6 @@ def run_trace_bench(seed: int = 0) -> Dict[str, Any]:
     }
 
 
-@pytest.mark.skipif(
-    not backend_available("vectorized"), reason="numpy not installed"
-)
-def test_tracing_off_stays_on_the_kernel_baseline():
-    """Bench-guard leg: the untraced probe path still matches the committed
-    baseline; a recorder hook landing on it while disabled would drift the
-    reference/vectorized ratio and trip this gate."""
-    payload = run_bench(["reference", "vectorized"], quick=True)
-    problems = check_report(
-        payload, "benchmarks/BENCH_kernel.json", tolerance=OFF_TOLERANCE
-    )
-    assert problems == [], "\n".join(problems)
-
-
 def test_traced_runs_stay_under_the_overhead_ceiling():
     payload = run_trace_bench()
     for workload, ratio in payload["tiers"]["trace"]["overheads"].items():
@@ -136,7 +112,9 @@ def test_traced_runs_stay_under_the_overhead_ceiling():
 
 def test_committed_trace_trajectory_is_well_formed():
     """The committed trajectory stays loadable and covers every workload."""
-    payload = load_report("benchmarks/BENCH_trace.json")
+    with open(BENCH_TRACE, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert payload["format"] == BENCH_FORMAT
     tier = payload["tiers"]["trace"]
     measured = {entry["workload"] for entry in tier["results"]}
     assert measured == {name for name, _ in SCENARIOS}
@@ -149,5 +127,7 @@ def test_committed_trace_trajectory_is_well_formed():
 
 
 if __name__ == "__main__":
-    path = write_report(run_trace_bench(), "benchmarks/BENCH_trace.json")
-    print(f"wrote trace overhead trajectory to {path}")
+    with open(BENCH_TRACE, "w", encoding="utf-8") as fh:
+        json.dump(run_trace_bench(), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    print(f"wrote trace overhead trajectory to {BENCH_TRACE}")

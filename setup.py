@@ -24,15 +24,9 @@ setup(
         "networkx",
     ],
     extras_require={
-        # numpy powers the vectorized kernel backend and the scaling fits;
-        # everything else (reference backend, all algorithms, the CLI) runs
-        # on the stdlib.  `repro bench`/`--backend vectorized` report a clear
-        # error pointing here when numpy is absent.
-        "fast": [
-            "numpy",
-        ],
+        # The package itself needs only the stdlib plus networkx; these are
+        # the test and lint tools.
         "dev": [
-            "numpy",
             "pytest",
             "pytest-benchmark",
             "hypothesis",

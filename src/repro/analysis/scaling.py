@@ -10,6 +10,7 @@ and a log–log power-law fit should recover an exponent close to the claimed on
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
@@ -34,27 +35,19 @@ class ScalingFit:
 def fit_power_law(ks: Sequence[float], times: Sequence[float]) -> ScalingFit:
     """Least-squares fit of ``log time`` against ``log k``.
 
-    numpy is imported lazily: this module rides along on ``repro.analysis``
-    (hence on ``import repro``), and the base install works without the
-    ``fast`` extra -- only actually fitting requires numpy.
+    Raises :class:`statistics.StatisticsError` (a ``ValueError``) when every
+    ``k`` is the same: no line through one x value has a defined slope.
     """
-    try:
-        import numpy as np
-    except ImportError:
-        raise ImportError(
-            "fit_power_law needs numpy; install the fast extra "
-            "(pip install 'repro-dispersion[fast]')"
-        ) from None
     if len(ks) != len(times) or len(ks) < 2:
         raise ValueError("need at least two (k, time) points")
-    x = np.log(np.asarray(ks, dtype=float))
-    y = np.log(np.asarray(times, dtype=float))
-    slope, intercept = np.polyfit(x, y, 1)
-    predicted = slope * x + intercept
-    ss_res = float(np.sum((y - predicted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    x = [math.log(k) for k in ks]
+    y = [math.log(t) for t in times]
+    slope, intercept = statistics.linear_regression(x, y)
+    mean_y = statistics.fmean(y)
+    ss_res = sum((yi - (slope * xi + intercept)) ** 2 for xi, yi in zip(x, y))
+    ss_tot = sum((yi - mean_y) ** 2 for yi in y)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return ScalingFit(exponent=float(slope), constant=float(math.exp(intercept)), r_squared=r2)
+    return ScalingFit(exponent=slope, constant=math.exp(intercept), r_squared=r2)
 
 
 def normalized_ratios(

@@ -76,7 +76,7 @@ class NaiveSyncDFS:
         metrics = self.engine.finalize_metrics()
         return DispersionResult(
             dispersed=is_dispersed(self.agents.values()),
-            positions=self.engine.positions(),
+            positions=self.engine.kernel.positions(),
             metrics=metrics,
             dfs_parent=list(self.dfs_parent),
             algorithm="NaiveSeqProbeDFS",
@@ -85,13 +85,13 @@ class NaiveSyncDFS:
 
     # ------------------------------------------------------------- DFS steps
     def _settler_at(self, node: int) -> Optional[Agent]:
-        for agent in self.engine.agents_at(node):
+        for agent in self.engine.kernel.agents_at(node):
             if agent.settled and agent.home == node:
                 return agent
         return None
 
     def _settle_smallest_at(self, node: int, parent_port: Optional[int]) -> Agent:
-        candidates = [a for a in self.engine.agents_at(node) if not a.settled]
+        candidates = [a for a in self.engine.kernel.agents_at(node) if not a.settled]
         # The leader settles only when it is the last unsettled agent.
         non_leader = [a for a in candidates if a is not self.leader]
         pool = non_leader if non_leader else candidates
@@ -124,7 +124,7 @@ class NaiveSyncDFS:
 
     def _forward(self, w: int, port: int) -> None:
         u = self.graph.neighbor(w, port)
-        moves = {a.agent_id: port for a in self.engine.agents_at(w) if not a.settled}
+        moves = {a.agent_id: port for a in self.engine.kernel.agents_at(w) if not a.settled}
         self.engine.step(moves)
         parent_port = self.graph.reverse_port(w, port)
         self.visited.add(u)
@@ -140,7 +140,7 @@ class NaiveSyncDFS:
                 "naive DFS wants to backtrack from the root with unsettled agents left; "
                 "k may exceed the number of reachable nodes"
             )
-        moves = {a.agent_id: parent_port for a in self.engine.agents_at(w) if not a.settled}
+        moves = {a.agent_id: parent_port for a in self.engine.kernel.agents_at(w) if not a.settled}
         self.engine.step(moves)
         self.metrics.bump("backtrack_moves")
 

@@ -73,7 +73,7 @@ def random_walk_dispersion(
     metrics = engine.finalize_metrics()
     return DispersionResult(
         dispersed=is_dispersed(agents.values()),
-        positions=engine.positions(),
+        positions=engine.kernel.positions(),
         metrics=metrics,
         algorithm="RandomWalkScatter",
         notes={"k": k, "seed": seed, "round_budget": max_rounds},

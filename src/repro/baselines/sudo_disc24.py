@@ -76,7 +76,7 @@ class SudoSyncDispersion:
         metrics = self.engine.finalize_metrics()
         return DispersionResult(
             dispersed=is_dispersed(self.agents.values()),
-            positions=self.engine.positions(),
+            positions=self.engine.kernel.positions(),
             metrics=metrics,
             dfs_parent=list(self.dfs_parent),
             algorithm="SudoStyleSyncDisp",
@@ -103,7 +103,7 @@ class SudoSyncDispersion:
 
         while checked < limit and found is None:
             probers: List[Agent] = [
-                a for a in self.engine.agents_at(w) if not a.settled
+                a for a in self.engine.kernel.agents_at(w) if not a.settled
             ] + [h for h, _ in helpers]
             batch = min(len(probers), limit - checked)
             assigned = []
@@ -146,13 +146,13 @@ class SudoSyncDispersion:
 
     # ------------------------------------------------------------- DFS steps
     def _settler_at(self, node: int) -> Optional[Agent]:
-        for agent in self.engine.agents_at(node):
+        for agent in self.engine.kernel.agents_at(node):
             if agent.settled and agent.home == node:
                 return agent
         return None
 
     def _settle_smallest_at(self, node: int, parent_port: Optional[int]) -> Agent:
-        candidates = [a for a in self.engine.agents_at(node) if not a.settled]
+        candidates = [a for a in self.engine.kernel.agents_at(node) if not a.settled]
         non_leader = [a for a in candidates if a is not self.leader]
         pool = non_leader if non_leader else candidates
         agent = min(pool, key=lambda a: a.agent_id)
@@ -163,7 +163,7 @@ class SudoSyncDispersion:
 
     def _forward(self, w: int, port: int) -> None:
         u = self.graph.neighbor(w, port)
-        moves = {a.agent_id: port for a in self.engine.agents_at(w) if not a.settled}
+        moves = {a.agent_id: port for a in self.engine.kernel.agents_at(w) if not a.settled}
         self.engine.step(moves)
         parent_port = self.graph.reverse_port(w, port)
         self.visited.add(u)
@@ -176,7 +176,7 @@ class SudoSyncDispersion:
         parent_port = settler.parent_port
         if parent_port is None:
             raise RuntimeError("cannot backtrack from the DFS root with agents unsettled")
-        moves = {a.agent_id: parent_port for a in self.engine.agents_at(w) if not a.settled}
+        moves = {a.agent_id: parent_port for a in self.engine.kernel.agents_at(w) if not a.settled}
         self.engine.step(moves)
         self.metrics.bump("backtrack_moves")
 

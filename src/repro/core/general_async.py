@@ -26,7 +26,7 @@ from repro.core.general_sync import _normalize_placements
 from repro.core.rooted_async import RootedAsyncDispersion
 from repro.core.rooted_sync import SMALL_K_THRESHOLD
 from repro.graph.port_graph import PortLabeledGraph
-from repro.sim.adversary import Adversary
+from repro.sim.adversary import Scheduler
 from repro.sim.async_engine import AsyncEngine, Move
 from repro.sim.result import DispersionResult
 
@@ -40,7 +40,7 @@ class GeneralAsyncDispersion:
         self,
         graph: PortLabeledGraph,
         placements: Mapping[int, int],
-        adversary: Optional[Adversary] = None,
+        adversary: Optional[Scheduler] = None,
         strict: bool = True,
         max_activations: Optional[int] = None,
     ) -> None:
@@ -243,7 +243,7 @@ class GeneralAsyncDispersion:
 def general_async_dispersion(
     graph: PortLabeledGraph,
     placements: Mapping[int, int],
-    adversary: Optional[Adversary] = None,
+    adversary: Optional[Scheduler] = None,
     **kwargs,
 ) -> DispersionResult:
     """Convenience wrapper: run Theorem 8.2's driver and return the result."""

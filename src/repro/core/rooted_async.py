@@ -30,7 +30,7 @@ from repro.agents.memory import MemoryModel
 from repro.analysis.verification import is_dispersed
 from repro.core.async_probe import async_probe, guest_see_off
 from repro.graph.port_graph import PortLabeledGraph
-from repro.sim.adversary import Adversary
+from repro.sim.adversary import Scheduler
 from repro.sim.async_engine import AsyncEngine, Move, Stay, WaitUntil
 from repro.sim.result import DispersionResult
 
@@ -59,7 +59,7 @@ class RootedAsyncDispersion:
         graph: PortLabeledGraph,
         k: int,
         start_node: int = 0,
-        adversary: Optional[Adversary] = None,
+        adversary: Optional[Scheduler] = None,
         treelabel: int = 0,
         strict: bool = True,
         max_activations: Optional[int] = None,
@@ -236,7 +236,7 @@ def rooted_async_dispersion(
     graph: PortLabeledGraph,
     k: int,
     start_node: int = 0,
-    adversary: Optional[Adversary] = None,
+    adversary: Optional[Scheduler] = None,
     **kwargs,
 ) -> DispersionResult:
     """Convenience wrapper: run Theorem 7.1's algorithm and return the result."""

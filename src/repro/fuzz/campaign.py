@@ -33,7 +33,6 @@ from repro.fuzz.sampler import Trial, sample_trial
 from repro.fuzz.shrink import ShrinkResult, shrink
 from repro.runner.execute import RunRecord, run_scenario
 from repro.runner.scenario import ScenarioSpec
-from repro.sim.backends import backend_available
 from repro.sim.faults import FaultSpec
 from repro.store import RunStore, run_fingerprint
 
@@ -217,7 +216,6 @@ def run_campaign(
     """Run one falsification campaign (see module docstring)."""
     report = FuzzReport()
     oracle = planted_bug_oracle if config.planted_bug else check_record
-    diff_backend = config.differential and backend_available("vectorized")
     store = RunStore(config.store_path) if config.store_path else None
     try:
         for index in range(config.trials):
@@ -247,7 +245,7 @@ def run_campaign(
             # Differential tier: only meaningful on clean, supported runs.
             if verdict.is_skip or not config.differential:
                 continue
-            if diff_backend and record.status == "ok":
+            if record.status == "ok":
                 vec = _run_cached(
                     trial.algorithm, trial.spec.with_backend("vectorized"), store, report
                 )

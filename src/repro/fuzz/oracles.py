@@ -39,7 +39,6 @@ from repro.runner.scenario import (
     build_scheduler,
     derive_seed,
 )
-from repro.sim.backends import backend_available
 from repro.sim.faults import FaultSpec
 from repro.sim.instrumentation import instrument
 
@@ -180,8 +179,6 @@ def backend_differential(
     Callers that already hold one side's record (e.g. the campaign, which
     store-caches both) pass it in to avoid re-execution.
     """
-    if not backend_available("vectorized"):
-        return Verdict(ok=True, kind="skip", detail="vectorized backend unavailable")
     if reference_record is None:
         reference_record = run_scenario(algorithm, spec.with_backend("reference"))
     if vectorized_record is None:

@@ -473,10 +473,10 @@ class PortLabeledGraph:
         nodes are renumbered and the flat arrays are re-assembled from slices
         of the old ones, so a churn event costs O(n) C-speed copying instead of
         the full O(n + m) Python rebuild of :meth:`_install_orders` (kept as
-        :meth:`_rewire_via_rebuild`, the differential oracle).  The old array
-        objects are left intact -- consumers holding zero-copy views (the
-        vectorized backend) keep valid buffers until they observe
-        :attr:`churn_count` and re-view.
+        the differential oracle in ``tests/port_graph_reference.py``).  The
+        old array objects are left intact, so a holder of
+        :meth:`adjacency_arrays` keeps a consistent pre-churn snapshot until
+        it observes :attr:`churn_count` and fetches the arrays again.
         """
         if remove is None and add is None:
             return
@@ -609,56 +609,6 @@ class PortLabeledGraph:
             return False
         a, b = add
         return seen[a] != seen[b]
-
-    def _rewire_via_rebuild(
-        self,
-        remove: Optional[Tuple[int, int]] = None,
-        add: Optional[Tuple[int, int]] = None,
-    ) -> None:
-        """The pre-incremental :meth:`rewire`: full structure rebuild.
-
-        Kept as the differential oracle for the incremental path (tests
-        compare complete internal state after random churn sequences) and as
-        the baseline leg of the churn micro-benchmark in
-        ``benchmarks/test_backend_throughput.py``.
-        """
-        if remove is None and add is None:
-            return
-        orders = [self.neighbors(v) for v in range(self._n)]
-        if remove is not None:
-            u, v = remove
-            if not (0 <= u < self._n and 0 <= v < self._n) or v not in orders[u]:
-                raise ValueError(f"cannot remove nonexistent edge {remove}")
-            orders[u].remove(v)
-            orders[v].remove(u)
-        if add is not None:
-            a, b = add
-            if not (0 <= a < self._n and 0 <= b < self._n) or a == b:
-                raise ValueError(f"cannot add invalid edge {add}")
-            if b in orders[a]:
-                raise ValueError(f"cannot add existing edge {add}")
-            orders[a].append(b)
-            orders[b].append(a)
-        if not self._orders_connected(orders):
-            raise ValueError(f"rewire -{remove} +{add} would disconnect the graph")
-        self._install_orders(orders)
-        self._churn_count += 1
-
-    @staticmethod
-    def _orders_connected(orders: Sequence[Sequence[int]]) -> bool:
-        n = len(orders)
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        count = 0
-        while stack:
-            v = stack.pop()
-            count += 1
-            for u in orders[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        return count == n
 
     # ------------------------------------------------------------- analysis
     def bfs_distances(self, source: int) -> List[int]:

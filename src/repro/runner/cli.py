@@ -9,9 +9,6 @@ Five subcommand families mirror the workflow the benchmarks automate:
   store (cache hits skip execution, finished records are committed one by
   one, and ``--resume`` completes an interrupted sweep);
 * ``repro report`` -- Table-1 style comparison tables from a sweep artifact;
-* ``repro bench``  -- settled-query throughput per backend as a schema-versioned JSON
-  report; ``--check`` gates the cross-backend speedup ratio against a
-  committed baseline (CI's ``bench-guard``);
 * ``repro db``     -- the experiment-store toolbox: ``query`` filtered
   records into artifact files, ``diff`` two snapshots (stores or artifacts)
   for metric regressions, ``import`` legacy artifacts, ``gc`` stale
@@ -60,8 +57,6 @@ Examples
     repro trace artifacts/traced.json --algorithm rooted_sync --summary
     repro trace artifacts/run-trace.json --html artifacts/replay.html
     repro report artifacts/smoke.json
-    repro bench --quick --out artifacts/BENCH_kernel.json
-    repro bench --quick --check benchmarks/BENCH_kernel.json --tolerance 0.25
     repro db query artifacts/runs.sqlite --algorithm rooted_sync --out artifacts/q.json
     repro db diff artifacts/old.json artifacts/runs.sqlite
     repro db import artifacts/runs.sqlite artifacts/legacy-sweep.json
@@ -92,12 +87,7 @@ from repro.runner.scenario import (
     ScenarioSpec,
 )
 from repro.runner.sweep import SweepSpec, run_sweep, smoke_sweep
-from repro.sim.backends import (
-    BACKEND_NAMES,
-    DEFAULT_BACKEND,
-    available_backends,
-    require_backend,
-)
+from repro.sim.backends import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.sim.faults import parse_faults
 
 __all__ = ["main", "build_parser"]
@@ -224,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=DEFAULT_BACKEND,
         choices=list(BACKEND_NAMES),
-        help="kernel world-state backend: reference (pure Python, the oracle) "
-        "or vectorized (reference plus a settled-agent index; needs the 'fast' extra). "
+        help="kernel world-state backend: reference (the oracle) or "
+        "vectorized (reference plus a settled-agent index). "
         "Records are identical either way, only speed differs",
     )
     run_p.add_argument(
@@ -283,9 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         choices=list(BACKEND_NAMES),
-        help="run every scenario on this kernel backend (availability is "
-        "checked up front, so a missing numpy fails fast instead of erroring "
-        "every job)",
+        help="run every scenario on this kernel backend",
     )
     sweep_p.add_argument(
         "--store",
@@ -431,61 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
         "network) to this file",
     )
 
-    bench_p = sub.add_parser(
-        "bench",
-        help="measure settled-query throughput per backend and write BENCH_kernel.json",
-    )
-    bench_p.add_argument(
-        "--backend",
-        action="append",
-        default=[],
-        choices=list(BACKEND_NAMES),
-        help="backend(s) to measure (repeatable; default: every available one)",
-    )
-    bench_p.add_argument(
-        "--nodes",
-        type=int,
-        action="append",
-        default=[],
-        help="scale axis: measure one scale-N tier per value (repeatable; "
-        "10^6 is feasible -- reference legs switch to a short horizon at "
-        ">= 200k nodes); without it the default full/quick tier sizes apply",
-    )
-    bench_p.add_argument("--agents", type=int, default=None, help="population size (default: nodes)")
-    bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI sizing: smaller graph, shorter timing budget; with --nodes, "
-        "measure only the listed scale tier(s)",
-    )
-    bench_p.add_argument(
-        "--profile",
-        action="store_true",
-        help="run the measurement under cProfile and print the top functions "
-        "by cumulative time to stderr",
-    )
-    bench_p.add_argument(
-        "--out",
-        default="artifacts/BENCH_kernel.json",
-        help="where to write the schema-versioned report",
-    )
-    bench_p.add_argument(
-        "--check",
-        default=None,
-        metavar="BASELINE",
-        help="compare against a committed BENCH_kernel.json: the "
-        "vectorized/reference probe speedup ratio must stay within "
-        "--tolerance of the baseline's (absolute steps/s are reported but "
-        "not gated -- they are hardware-dependent)",
-    )
-    bench_p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed relative speedup regression for --check (default 0.25)",
-    )
-
     fuzz_p = sub.add_parser(
         "fuzz",
         help="continuous falsification: sample random scenarios, check them "
@@ -552,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scheduler, scheduler_params = _parse_scheduler(args.scheduler)
-    require_backend(args.backend)  # fail fast with install guidance
     scenario = ScenarioSpec(
         family=args.family,
         params=_parse_params(args.param),
@@ -721,7 +653,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.algorithms:
         sweep = sweep.filter_algorithms(_parse_algorithm_names(args.algorithms))
     if args.backend:
-        require_backend(args.backend)  # one clear error beats a sweep of them
         sweep = sweep.with_backend(args.backend)
     if args.trace:
         sweep = sweep.with_trace()
@@ -956,11 +887,9 @@ def _cmd_list() -> int:
             f"{spec.claimed_bound:15s} {spec.display}{flags}"
         )
     print()
-    usable = set(available_backends())
     for name in BACKEND_NAMES:
-        status = "available" if name in usable else "unavailable (install the 'fast' extra)"
         default = " [default]" if name == DEFAULT_BACKEND else ""
-        print(f"backend {name:11s} {status}{default}")
+        print(f"backend {name}{default}")
     print()
     for spec in list_algorithms():
         if spec.setting == "sync":
@@ -968,48 +897,6 @@ def _cmd_list() -> int:
         else:
             capability = "activation-granularity trace (ASYNC activations + schedule)"
         print(f"trace {spec.name:14s} {capability}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.runner import bench as bench_mod
-
-    backends = list(dict.fromkeys(args.backend)) or available_backends()
-    for name in backends:
-        require_backend(name)
-    scale = list(dict.fromkeys(args.nodes))
-
-    def _run() -> Dict[str, Any]:
-        return bench_mod.run_bench(
-            backends=backends,
-            agents=args.agents,
-            seed=args.seed,
-            quick=args.quick,
-            scale=scale or None,
-        )
-
-    if args.profile:
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        payload = profiler.runcall(_run)
-        stats = pstats.Stats(profiler, stream=sys.stderr)
-        stats.sort_stats("cumulative")
-        print("bench profile (top 30 by cumulative time):", file=sys.stderr)
-        stats.print_stats(30)
-    else:
-        payload = _run()
-    print(bench_mod.render(payload))
-    path = bench_mod.write_report(payload, args.out)
-    print(f"wrote bench report to {path}")
-    if args.check:
-        problems = bench_mod.check_report(payload, args.check, tolerance=args.tolerance)
-        if problems:
-            for line in problems:
-                print(f"BENCH REGRESSION: {line}", file=sys.stderr)
-            return 1
-        print(f"bench-guard: speedups within {args.tolerance:.0%} of {args.check}")
     return 0
 
 
@@ -1208,8 +1095,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_report(args)
         if args.command == "db":
             return _cmd_db(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "trace":
             return _cmd_trace(args)
         if args.command == "fuzz":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.graph.port_graph import PortLabeledGraph
-from repro.sim.adversary import Adversary
+from repro.sim.adversary import Scheduler
 from repro.sim.result import DispersionResult
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
 
 #: Adapter signature shared by every registered algorithm.
 Adapter = Callable[
-    [PortLabeledGraph, Mapping[int, int], Optional[Adversary], int],
+    [PortLabeledGraph, Mapping[int, int], Optional[Scheduler], int],
     DispersionResult,
 ]
 
@@ -107,7 +107,7 @@ class AlgorithmSpec:
         self,
         graph: PortLabeledGraph,
         placements: Mapping[int, int],
-        adversary: Optional[Adversary] = None,
+        adversary: Optional[Scheduler] = None,
         seed: int = 0,
     ) -> DispersionResult:
         """Run the algorithm on an initial ``node -> agent count`` placement."""

@@ -21,12 +21,12 @@ from repro.graph import generators
 from repro.graph.port_graph import PortAssignment, PortLabeledGraph
 from repro.sim.adversary import (
     AdaptiveCollisionAdversary,
-    Adversary,
     BoundedDelayScheduler,
     LazySettlerAdversary,
     LockstepScheduler,
     RandomAdversary,
     RoundRobinAdversary,
+    Scheduler,
     SemiSyncScheduler,
     StarvationAdversary,
 )
@@ -84,10 +84,8 @@ SCHEDULERS = ("async", "lockstep", "semi-sync", "bounded-delay")
 #: ``split`` spreads them over ``placement_parts`` evenly spaced nodes.
 PLACEMENTS = ("rooted", "split")
 
-#: Kernel backends a spec may name (see :mod:`repro.sim.backends`).  Like the
-#: graph families, this is a *name* whitelist: availability (numpy installed?)
-#: is an environment property checked when the backend is instantiated, so
-#: spec files stay portable across machines.
+#: Kernel backends a spec may name (see :mod:`repro.sim.backends`).  Both are
+#: pure Python, so every name runs on every machine.
 BACKENDS = BACKEND_NAMES
 
 
@@ -398,7 +396,7 @@ def build_graph(spec: ScenarioSpec) -> PortLabeledGraph:
     )
 
 
-def build_adversary(spec: ScenarioSpec) -> Adversary:
+def build_adversary(spec: ScenarioSpec) -> Scheduler:
     """Materialize the scenario's fully asynchronous activation adversary."""
     if spec.adversary == "round_robin":
         return RoundRobinAdversary()
@@ -417,7 +415,7 @@ def build_adversary(spec: ScenarioSpec) -> Adversary:
     )
 
 
-def build_scheduler(spec: ScenarioSpec) -> Adversary:
+def build_scheduler(spec: ScenarioSpec) -> Scheduler:
     """Materialize the scenario's activation scheduler (the synchrony axis).
 
     The classic ``"async"`` discipline defers to :func:`build_adversary` (the

@@ -7,7 +7,6 @@ from repro.sim.kernel import ExecutionKernel
 from repro.sim.sync_engine import SyncEngine
 from repro.sim.async_engine import AsyncEngine, Move, Stay, WaitUntil
 from repro.sim.adversary import (
-    Adversary,
     AdaptiveCollisionAdversary,
     BoundedDelayScheduler,
     LazySettlerAdversary,
@@ -32,7 +31,6 @@ __all__ = [
     "Stay",
     "WaitUntil",
     "Scheduler",
-    "Adversary",
     "AdaptiveCollisionAdversary",
     "LazySettlerAdversary",
     "RandomAdversary",

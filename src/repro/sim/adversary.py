@@ -75,7 +75,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "Scheduler",
-    "Adversary",
     "RandomAdversary",
     "RoundRobinAdversary",
     "StarvationAdversary",
@@ -111,14 +110,7 @@ class Scheduler(abc.ABC):
         """Return the id of the agent to activate next."""
 
 
-#: Historical name of the scheduler contract.  The classic ASYNC policies keep
-#: "Adversary" in their class names (that is the model's vocabulary: the
-#: algorithm must beat every adversary); the synchrony-restricted disciplines
-#: below use "Scheduler".  The contract is one and the same.
-Adversary = Scheduler
-
-
-class RandomAdversary(Adversary):
+class RandomAdversary(Scheduler):
     """Uniformly random activations (seeded, reproducible)."""
 
     def __init__(self, seed: int = 0) -> None:
@@ -134,7 +126,7 @@ class RandomAdversary(Adversary):
         return self._rng.choice(self.agent_ids)
 
 
-class RoundRobinAdversary(Adversary):
+class RoundRobinAdversary(Scheduler):
     """Cyclic activation order; every epoch is exactly one pass over the agents."""
 
     def __init__(self) -> None:
@@ -150,7 +142,7 @@ class RoundRobinAdversary(Adversary):
         return agent
 
 
-class StarvationAdversary(Adversary):
+class StarvationAdversary(Scheduler):
     """Starve a set of victims: they act once per ``slowdown`` non-victim passes.
 
     ``victims`` may be given as explicit agent ids or as ``"largest"`` /
@@ -206,7 +198,7 @@ class StarvationAdversary(Adversary):
         return self._rng.choice(self._others)
 
 
-class _AdaptiveAdversary(Adversary):
+class _AdaptiveAdversary(Scheduler):
     """Shared machinery for adversaries that observe the engine.
 
     Maintains a bounded-staleness fairness guarantee: whenever some agent has

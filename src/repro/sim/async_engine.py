@@ -35,13 +35,13 @@ semi-synchronous round subsets, and k-bounded-delay schedules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Union
+from typing import Callable, Dict, Iterable, Iterator, Optional, Set, Union
 
 from repro.agents.agent import Agent
 from repro.graph.port_graph import PortLabeledGraph
-from repro.sim.adversary import Adversary, RandomAdversary
+from repro.sim.adversary import RandomAdversary, Scheduler
 from repro.sim.backends import KernelBackend
-from repro.sim.faults import AgentFaultView, FaultInjector
+from repro.sim.faults import FaultInjector
 from repro.sim.invariants import InvariantChecker
 from repro.sim.kernel import ExecutionKernel
 from repro.sim.metrics import RunMetrics
@@ -108,7 +108,7 @@ class AsyncEngine:
         self,
         graph: PortLabeledGraph,
         agents: Iterable[Agent],
-        adversary: Optional[Adversary] = None,
+        adversary: Optional[Scheduler] = None,
         max_activations: Optional[int] = None,
         fault_injector: Optional[FaultInjector] = None,
         invariant_checker: Optional[InvariantChecker] = None,
@@ -289,39 +289,7 @@ class AsyncEngine:
         if kernel.trace is not None:
             kernel.trace.record_activation(agent_id)
 
-    # ------------------------------------------------------------ observation
-    # The kernel's observation queries are the single documented query
-    # surface (the v2 fault-visibility contract lives there, shared verbatim
-    # with the SYNC engine and with every backend); the fault clock inside an
-    # activation is the executing cycle's tick.  The methods below are thin
-    # aliases kept for engine-level ergonomics and back-compat; new code --
-    # like the migrated drivers in ``repro.core`` -- should call
-    # ``engine.kernel.<query>`` directly.
-
-    def fault_view(self, agent_id: int) -> AgentFaultView:
-        """The agent's :class:`AgentFaultView` at the current fault clock."""
-        return self._kernel.fault_view(agent_id)
-
-    def agents_at(self, node: int) -> List[Agent]:
-        """Agents at ``node`` that participate in communication right now."""
-        return self._kernel.agents_at(node)
-
-    def occupied(self, node: int) -> bool:
-        """True when at least one agent body is at ``node`` (physical query)."""
-        return self._kernel.occupied(node)
-
-    def settled_agent_at(self, node: int) -> Optional[Agent]:
-        """The settled agent at ``node`` that answers probes right now."""
-        return self._kernel.settled_agent_at(node)
-
-    def settled_agents_at(self, node: int) -> List[Agent]:
-        """All settled agents at ``node`` that answer probes right now."""
-        return self._kernel.settled_agents_at(node)
-
-    def positions(self) -> Dict[int, int]:
-        """Snapshot of ``agent_id -> node``."""
-        return self._kernel.positions()
-
+    # ---------------------------------------------------------------- finish
     def finalize_metrics(self) -> RunMetrics:
         """Fold per-agent memory peaks (and any fault/invariant counters) into
         the run metrics and return them."""

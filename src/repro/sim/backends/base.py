@@ -10,8 +10,7 @@ questions are answered:
   per-agent Python loop, extracted unchanged.  It is the **oracle**: the
   differential suite pins every other backend to its observable behaviour.
 * :class:`~repro.sim.backends.vectorized.VectorizedBackend` -- the reference
-  state plus an incrementally maintained settled-agent index (requires the
-  ``fast`` extra).
+  state plus an incrementally maintained settled-agent index.
 
 Every backend must be *exactly* interchangeable -- same mutations, same
 metrics accounting, same error messages, same query answers -- so algorithm
@@ -131,11 +130,7 @@ class KernelBackend(ABC):
         self, nodes: Sequence[int], exclude_ids: Sequence[int]
     ) -> List[bool]:
         """One probe round, batched: element ``i`` answers whether a settled
-        agent other than ``exclude_ids[i]`` communicates at ``nodes[i]``.
-
-        The two parallel sequences (rather than pairs) let bulk callers pass
-        prebuilt arrays straight through to the vectorized override.
-        """
+        agent other than ``exclude_ids[i]`` communicates at ``nodes[i]``."""
         return [
             self.settled_present(node, exclude)
             for node, exclude in zip(nodes, exclude_ids)

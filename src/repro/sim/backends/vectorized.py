@@ -7,8 +7,8 @@ free-node test).  This backend inherits the reference backend's world state
 and move mechanics unchanged and adds only an index that answers those
 questions without scanning the node's occupants:
 
-* ``_settled_count`` / ``_settled_idsum`` -- int64[n], count and id-sum of the
-  settled *bodies* per node.  Together they decide "is a settled agent other
+* ``_settled_count`` / ``_settled_idsum`` -- per-node count and id-sum of the
+  settled *bodies* there.  Together they decide "is a settled agent other
   than X here" exactly: ids are unique, so count >= 2 always has another, and
   the count == 1 body is agent idsum.
 * ``_home_ids`` -- home node -> ids of the agents settled there, for the
@@ -19,16 +19,15 @@ by re-keying settled bodies (oscillators move while settled) after every
 move.  It is not fault-filtered, so under a fault injector every query defers
 to the reference scan -- the settled queries are Communicate queries.
 
-numpy is an optional dependency (the ``fast`` extra) and is imported only
-when a vectorized backend is built, so ``import repro`` never pays for it:
-constructing the backend without numpy raises
-:class:`~repro.sim.backends.BackendUnavailableError` with install guidance.
+The index is plain Python lists: Sync_Probe checks at most
+``min(ceil(k/3), deg)`` neighbours per iteration, so a probe round carries a
+handful of nodes and every settled-body move is a scalar update -- traffic on
+which array set-up costs more than it saves.
 """
 
 from __future__ import annotations
 
-import importlib.util
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, List, Mapping, Optional, Set
 
 from repro.agents.agent import Agent
 from repro.sim.backends.base import KernelBackend
@@ -42,30 +41,13 @@ class VectorizedBackend(ReferenceBackend):
 
     name = "vectorized"
 
-    def __init__(self) -> None:
-        if not self.is_available():
-            from repro.sim.backends import BackendUnavailableError
-
-            raise BackendUnavailableError(
-                "the 'vectorized' backend needs numpy, which is not installed; "
-                "install the fast extra (pip install 'repro-dispersion[fast]') "
-                "or use --backend reference"
-            )
-        super().__init__()
-
-    @classmethod
-    def is_available(cls) -> bool:
-        return importlib.util.find_spec("numpy") is not None
-
     # ------------------------------------------------------------------ state
     def rebuild(self) -> None:
-        import numpy as np
-
         super().rebuild()
         kernel = self.kernel
         n = kernel.graph.num_nodes
-        self._settled_count = np.zeros(n, dtype=np.int64)
-        self._settled_idsum = np.zeros(n, dtype=np.int64)
+        self._settled_count: List[int] = [0] * n
+        self._settled_idsum: List[int] = [0] * n
         self._home_ids: Dict[int, Set[int]] = {}
         for agent in kernel.agents.values():
             agent._observer = self
@@ -130,12 +112,12 @@ class VectorizedBackend(ReferenceBackend):
     def settled_present(self, node: int, exclude_id: Optional[int] = None) -> bool:
         if self.kernel.fault_injector is not None:
             return super().settled_present(node, exclude_id)
-        count = int(self._settled_count[node])
+        count = self._settled_count[node]
         if count == 0:
             return False
         if count > 1 or exclude_id is None:
             return True
-        return int(self._settled_idsum[node]) != exclude_id
+        return self._settled_idsum[node] != exclude_id
 
     def home_settler_at(self, node: int) -> Optional[Agent]:
         if self.kernel.fault_injector is not None:
@@ -163,20 +145,10 @@ class VectorizedBackend(ReferenceBackend):
                 return True
         return False
 
-    def run_probe_round(
-        self, nodes: Sequence[int], exclude_ids: Sequence[int]
-    ) -> List[bool]:
-        if self.kernel.fault_injector is not None:
-            return super().run_probe_round(nodes, exclude_ids)
-        import numpy as np
-
-        nodes_arr = np.asarray(nodes, dtype=np.int64)
-        excl = np.asarray(exclude_ids, dtype=np.int64)
-        count = self._settled_count[nodes_arr]
-        met = (count > 1) | ((count == 1) & (self._settled_idsum[nodes_arr] != excl))
-        return met.tolist()
-
-    # The generic per-round scatter walk, bound here by name: perfbench's
-    # tracer (perfbench/tracer.py) wraps each backend's own run_scatter, and
-    # the re-keying apply_batch above keeps the index current on every hop.
+    # The generic batch bodies, bound here by name: perfbench's tracer
+    # (perfbench/tracer.py) wraps each backend's own run_probe_round and
+    # run_scatter.  The probe round asks the indexed settled_present above
+    # once per node; the re-keying apply_batch keeps the index current on
+    # every scatter hop.
+    run_probe_round = KernelBackend.run_probe_round
     run_scatter = KernelBackend.run_scatter

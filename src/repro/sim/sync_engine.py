@@ -15,17 +15,17 @@ this class contributes only the lockstep scheduling discipline -- the round
 counter, the per-round fault gate, and the simultaneous move batch.  The
 co-location queries implementing the local communication model (an agent may
 inspect, and by convention of the algorithms write to, the memory of agents
-at its own node only) are the kernel's, re-exported unchanged.
+at its own node only) are the kernel's: call ``engine.kernel.<query>``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.agents.agent import Agent
 from repro.graph.port_graph import PortLabeledGraph
 from repro.sim.backends import KernelBackend
-from repro.sim.faults import AgentFaultView, FaultInjector
+from repro.sim.faults import FaultInjector
 from repro.sim.invariants import InvariantChecker
 from repro.sim.kernel import ExecutionKernel
 from repro.sim.metrics import RunMetrics
@@ -177,38 +177,7 @@ class SyncEngine:
             self, walker_ids, start, ports, counter=counter
         )
 
-    # ------------------------------------------------------------ observation
-    # The kernel's observation queries are the single documented query
-    # surface (the v2 fault-visibility contract lives there, shared verbatim
-    # with the ASYNC engine and with every backend).  The methods below are
-    # thin aliases kept for engine-level ergonomics and back-compat; new code
-    # -- like the migrated drivers in ``repro.core`` -- should call
-    # ``engine.kernel.<query>`` directly.
-
-    def fault_view(self, agent_id: int) -> AgentFaultView:
-        """The agent's :class:`AgentFaultView` for the upcoming round."""
-        return self._kernel.fault_view(agent_id)
-
-    def agents_at(self, node: int) -> List[Agent]:
-        """Agents at ``node`` that participate in communication this round."""
-        return self._kernel.agents_at(node)
-
-    def occupied(self, node: int) -> bool:
-        """True when at least one agent body is at ``node`` (physical query)."""
-        return self._kernel.occupied(node)
-
-    def settled_agent_at(self, node: int) -> Optional[Agent]:
-        """The settled agent at ``node`` that answers probes this round."""
-        return self._kernel.settled_agent_at(node)
-
-    def settled_agents_at(self, node: int) -> List[Agent]:
-        """All settled agents at ``node`` that answer probes this round."""
-        return self._kernel.settled_agents_at(node)
-
-    def positions(self) -> Dict[int, int]:
-        """Snapshot of ``agent_id -> node``."""
-        return self._kernel.positions()
-
+    # ---------------------------------------------------------------- finish
     def finalize_metrics(self) -> RunMetrics:
         """Fold per-agent memory peaks (and any fault/invariant counters) into
         the run metrics and return them."""

@@ -25,7 +25,6 @@ import pytest
 from repro.runner.execute import RunRecord, run_scenario
 from repro.runner.registry import algorithm_names
 from repro.runner.scenario import ScenarioSpec
-from repro.sim.backends import backend_available
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -34,10 +33,6 @@ try:
     HAVE_HYPOTHESIS = True
 except ImportError:  # pragma: no cover - exercised only without hypothesis
     HAVE_HYPOTHESIS = False
-
-pytestmark = pytest.mark.skipif(
-    not backend_available("vectorized"), reason="numpy not installed"
-)
 
 CASES = 10
 

@@ -29,23 +29,15 @@ from repro.runner.sweep import SweepSpec
 from repro.sim.backends import (
     BACKEND_NAMES,
     DEFAULT_BACKEND,
-    BackendUnavailableError,
     KernelBackend,
     ReferenceBackend,
     VectorizedBackend,
-    available_backends,
-    backend_available,
     get_backend,
-    require_backend,
     resolve_backend,
 )
 from repro.sim.faults import FaultSchedule
 from repro.sim.sync_engine import SyncEngine
 from repro.store.fingerprint import fingerprint_material, run_fingerprint
-
-needs_vectorized = pytest.mark.skipif(
-    not backend_available("vectorized"), reason="numpy not installed"
-)
 
 
 def make_world(n: int = 18, k: int = 10, seed: int = 7, start: int = 0):
@@ -78,16 +70,13 @@ def snapshot(engine):
 def test_registry_names_and_default():
     assert DEFAULT_BACKEND == "reference"
     assert set(BACKEND_NAMES) == {"reference", "vectorized"}
-    assert backend_available("reference")
-    assert "reference" in available_backends()
-    assert not backend_available("no-such-backend")
 
 
 def test_get_and_require_reject_unknown_names():
     with pytest.raises(ValueError, match="unknown backend"):
         get_backend("no-such-backend")
     with pytest.raises(ValueError, match="unknown backend"):
-        require_backend("no-such-backend")
+        ScenarioSpec(family="line", params={"n": 8}, k=4, backend="no-such-backend")
 
 
 def test_resolve_backend_coerces_none_name_and_instance():
@@ -100,34 +89,28 @@ def test_resolve_backend_coerces_none_name_and_instance():
     assert resolve_backend(instance) is instance
 
 
-def test_vectorized_unavailable_without_numpy(monkeypatch):
-    """Without numpy the backend reports unavailable and fails with guidance."""
-    monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy -> ImportError
-    assert not backend_available("vectorized")
-    assert available_backends() == ["reference"]
-    with pytest.raises(BackendUnavailableError, match="fast"):
-        VectorizedBackend()
-    with pytest.raises(BackendUnavailableError):
-        require_backend("vectorized")
-    # ... while the reference path is untouched.
-    graph, agents = make_world(n=6, k=2)
-    engine = SyncEngine(graph, agents)
-    engine.step({})
-    assert engine.metrics.rounds == 1
-
-
 def test_importing_the_runner_leaves_numpy_unloaded():
-    """numpy is imported only when a vectorized backend is built, so reference
-    runs and sweep workers never pay its import time or memory."""
+    """The package is pure Python: importing the runner and store, and running
+    a scenario on either backend, never loads numpy."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, repro.runner.execute, repro.store; print('numpy' in sys.modules)"
+    code = (
+        "import sys, repro.runner.execute, repro.store\n"
+        "from repro.runner.scenario import ScenarioSpec\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "for backend in ('reference', 'vectorized'):\n"
+        "    spec = ScenarioSpec(family='grid2d', params={'rows': 4, 'cols': 4}, k=8, backend=backend)\n"
+        "    record = repro.runner.execute.run_scenario('rooted_sync', spec)\n"
+        "    assert record.status == 'ok', record.error\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(loaded)"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[False, False, False]"
 
 
 def test_engine_rejects_unknown_backend_name():
@@ -139,7 +122,6 @@ def test_engine_rejects_unknown_backend_name():
 # ----------------------------------------------------------------- exact parity
 
 
-@needs_vectorized
 def test_lockstep_parity_on_random_graph():
     """Identical seeded move batches leave both backends byte-equal."""
     engines = []
@@ -167,7 +149,6 @@ def test_lockstep_parity_on_random_graph():
         assert snapshot(ref) == snapshot(vec)
 
 
-@needs_vectorized
 def test_apply_move_parity_and_port_memory():
     """The ASYNC single-move primitive updates occupancy and Agent alike."""
     for backend in ("reference", "vectorized"):
@@ -183,7 +164,6 @@ def test_apply_move_parity_and_port_memory():
         assert engine.metrics.total_moves == 1
 
 
-@needs_vectorized
 def test_apply_batch_error_message_parity():
     """Both backends report the first offending move with the graph's words."""
     messages = []
@@ -201,7 +181,6 @@ def test_apply_batch_error_message_parity():
     assert messages[0] == messages[1]
 
 
-@needs_vectorized
 def test_vectorized_occupancy_is_the_engines_live_alias():
     """Adversaries hold ``engine.kernel.occupancy``; it must stay the live
     object."""
@@ -214,7 +193,6 @@ def test_vectorized_occupancy_is_the_engines_live_alias():
     assert 1 in held[graph.neighbor(0, 1)]
 
 
-@needs_vectorized
 def test_parity_survives_edge_churn():
     """``rewire`` renumbers ports; both backends must route through the new
     tables."""
@@ -278,7 +256,6 @@ def probe_answers(engine, exclude_ids=(None,)):
     }
 
 
-@needs_vectorized
 def test_settled_queries_track_settle_unsettle_resettle_and_moving_settlers():
     """The vectorized settled index must answer exactly like the reference
     scans through arbitrary settle / re-settle / unsettle / move interleavings
@@ -304,7 +281,6 @@ def test_settled_queries_track_settle_unsettle_resettle_and_moving_settlers():
         assert snapshot(ref) == snapshot(vec)
 
 
-@needs_vectorized
 def test_run_probe_round_parity_with_mixed_excludes():
     ref, vec = lockstep_engines(n=14, k=8, seed=4)
     rng = random.Random(21)
@@ -320,34 +296,6 @@ def test_run_probe_round_parity_with_mixed_excludes():
     assert any(answers) and not all(answers)  # the case mix is real
 
 
-@needs_vectorized
-def test_run_probe_round_accepts_prebuilt_arrays():
-    """The bench feeds the vectorized leg int64 arrays; answers must match the
-    list form on both backends (the generic body zips, arrays zip fine)."""
-    np = pytest.importorskip("numpy")
-    ref, vec = lockstep_engines(n=12, k=6, seed=9)
-    for eng in (ref, vec):
-        for aid in (2, 4):
-            eng.agents[aid].settle(eng.agents[aid].position, None)
-    nodes = list(range(12))
-    excludes = [0] * 12
-    expected = ref.kernel.run_probe_round(nodes, excludes)
-    assert vec.kernel.run_probe_round(nodes, excludes) == expected
-    assert (
-        vec.kernel.run_probe_round(
-            np.asarray(nodes, dtype=np.int64), np.asarray(excludes, dtype=np.int64)
-        )
-        == expected
-    )
-    assert (
-        ref.kernel.run_probe_round(
-            np.asarray(nodes, dtype=np.int64), np.asarray(excludes, dtype=np.int64)
-        )
-        == expected
-    )
-
-
-@needs_vectorized
 def test_settled_queries_fall_back_to_fault_filtered_scans_under_faults():
     """With an injector present the queries must stay Communicate queries:
     crashed/frozen settlers are invisible, exactly as the reference scans see
@@ -382,7 +330,6 @@ def test_settled_queries_fall_back_to_fault_filtered_scans_under_faults():
         assert not ref.kernel.settled_present(crashed_home)
 
 
-@needs_vectorized
 def test_step_path_parity_and_duplicate_walker_collapse():
     """run_scatter: same end node, same records, and duplicate walker ids
     count once (the reference moves-dict collapses them by construction)."""
@@ -404,7 +351,6 @@ def test_step_path_parity_and_duplicate_walker_collapse():
     assert ref.metrics.total_moves == 12 * 3  # three distinct walkers
 
 
-@needs_vectorized
 def test_step_path_error_parity_for_both_invalid_port_orderings():
     """An invalid port raises with the graph's exact words in both backends,
     with identical partial state -- both when walkers are moving (batch-plan
@@ -432,7 +378,6 @@ def test_step_path_error_parity_for_both_invalid_port_orderings():
         assert f"has no port {graph.max_degree + 7}" in outcomes[0][0]
 
 
-@needs_vectorized
 def test_step_path_freeze_mask_leaves_frozen_walkers_behind():
     """A walker frozen mid-phase misses those hops in both backends (the
     vectorized fault mask must equal the reference's per-round filtering)."""
@@ -468,7 +413,6 @@ def test_step_path_freeze_mask_leaves_frozen_walkers_behind():
     assert ref.agents[1].position == node
 
 
-@needs_vectorized
 def test_step_path_parity_under_churn_mid_phase():
     """Edge churn rewires the graph *between hops*; both backends must route
     the remaining hops through the same post-churn port tables."""
@@ -530,7 +474,6 @@ def test_build_engine_scenario_mode_async_uses_spec_scheduler():
     assert engine.adversary is not None
 
 
-@needs_vectorized
 def test_build_engine_scenario_backend_flows_from_spec():
     spec = ScenarioSpec(family="line", params={"n": 8}, k=4, seed=0).with_backend(
         "vectorized"
@@ -576,7 +519,6 @@ def test_default_backend_keeps_spec_bytes_and_fingerprints():
     assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
 
-@needs_vectorized
 def test_non_default_backend_serializes_and_keys_its_own_cache():
     spec = ScenarioSpec(family="line", params={"n": 8}, k=4, seed=0)
     fast = spec.with_backend("vectorized")
@@ -607,8 +549,6 @@ def test_sweep_with_backend_maps_every_scenario():
 def test_backend_is_a_kernel_backend_subclass_contract():
     """Every registered backend satisfies the abstract protocol."""
     for name in BACKEND_NAMES:
-        if not backend_available(name):
-            continue
         backend = get_backend(name)
         assert isinstance(backend, KernelBackend)
         assert backend.name == name

@@ -181,7 +181,7 @@ class TestOscillatorRuntime:
             osc.after_step(
                 any(
                     a.settled and a.home == here and a.agent_id != osc.agent.agent_id
-                    for a in eng.agents_at(here)
+                    for a in eng.kernel.agents_at(here)
                 )
             )
         return visited

@@ -9,6 +9,7 @@ from repro.agents.memory import MemoryModel
 from repro.graph import generators
 from repro.sim.adversary import RandomAdversary, RoundRobinAdversary, StarvationAdversary
 from repro.sim.async_engine import AsyncEngine, Move, Stay, WaitUntil
+from repro.sim.kernel import ExecutionKernel
 from repro.sim.sync_engine import SyncEngine
 
 
@@ -51,10 +52,10 @@ class TestSyncEngine:
         g = generators.line(4)
         agents = make_agents(3)
         eng = SyncEngine(g, agents.values())
-        assert [a.agent_id for a in eng.agents_at(0)] == [1, 2, 3]
+        assert [a.agent_id for a in eng.kernel.agents_at(0)] == [1, 2, 3]
         agents[2].settle(0, None)
-        assert eng.settled_agent_at(0).agent_id == 2
-        assert eng.settled_agent_at(1) is None
+        assert eng.kernel.settled_agent_at(0).agent_id == 2
+        assert eng.kernel.settled_agent_at(1) is None
 
     def test_invalid_port_raises(self):
         g = generators.line(3)
@@ -201,16 +202,16 @@ class TestKernelFacadeParity:
         g = generators.line(5)
         agents = make_agents(3, node=2)
         eng = SyncEngine(g, agents.values())
-        assert eng.settled_agents_at(2) == []
+        assert eng.kernel.settled_agents_at(2) == []
         agents[1].settle(2, None)
         agents[3].settle(2, None)
-        assert {a.agent_id for a in eng.settled_agents_at(2)} == {1, 3}
+        assert {a.agent_id for a in eng.kernel.settled_agents_at(2)} == {1, 3}
 
     def test_async_engine_grew_occupied(self):
         g = generators.line(5)
         agents = make_agents(2, node=3)
         eng = AsyncEngine(g, agents.values(), adversary=RoundRobinAdversary())
-        assert eng.occupied(3) and not eng.occupied(0)
+        assert eng.kernel.occupied(3) and not eng.kernel.occupied(0)
 
     def test_facades_share_one_kernel_state(self):
         """Facade attributes are views of the kernel's single world state."""
@@ -225,18 +226,21 @@ class TestKernelFacadeParity:
         assert eng.kernel.now() == 1  # the SYNC fault clock is the round count
 
     def test_observation_surface_matches_across_engines(self):
-        surface = (
+        """Both facades answer queries through one surface, the kernel's."""
+        queries = (
             "agents_at",
             "occupied",
             "settled_agent_at",
             "settled_agents_at",
             "fault_view",
             "positions",
-            "finalize_metrics",
         )
-        for name in surface:
-            assert callable(getattr(SyncEngine, name))
-            assert callable(getattr(AsyncEngine, name))
+        for name in queries:
+            assert callable(getattr(ExecutionKernel, name))
+        for engine_cls in (SyncEngine, AsyncEngine):
+            assert isinstance(engine_cls.kernel, property)
+            assert callable(engine_cls.finalize_metrics)
+            assert not any(hasattr(engine_cls, name) for name in queries)
 
 
 class TestAdversaries:

@@ -103,7 +103,7 @@ def test_crashed_agent_never_moves_in_sync_engine():
     engine = SyncEngine(graph, agents, fault_injector=injector)
     for _ in range(4):
         engine.step({1: 1, 2: 1})
-    assert engine.positions() == {1: 0, 2: 0}
+    assert engine.kernel.positions() == {1: 0, 2: 0}
     assert injector.counts["blocked"] == 8
     assert injector.counts["crash"] == 2
     extras = engine.finalize_metrics().extra
@@ -119,9 +119,9 @@ def test_frozen_agent_resumes_after_window():
     assert injector.freeze_window[1] == (0, 3)
     for _ in range(3):  # rounds 0..2 fall inside the window
         engine.step({1: 1})
-    assert engine.positions()[1] == 0
+    assert engine.kernel.positions()[1] == 0
     engine.step({1: 1})  # round 3: thawed
-    assert engine.positions()[1] == 1
+    assert engine.kernel.positions()[1] == 1
     assert injector.counts["blocked"] == 3
 
 
@@ -136,7 +136,7 @@ def test_crashed_agent_stalls_epochs_in_async_engine():
         engine._activate(adversary.next_agent())
     # Nobody completes a cycle, so no epoch ever closes and nobody moves.
     assert engine.metrics.epochs == 0
-    assert engine.positions() == {1: 0, 2: 0, 3: 0}
+    assert engine.kernel.positions() == {1: 0, 2: 0, 3: 0}
     assert injector.counts["blocked"] == 9
 
 

@@ -19,6 +19,8 @@ Four contracts:
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.fuzz import (
@@ -30,8 +32,9 @@ from repro.fuzz import (
     sample_trial,
     shrink,
 )
+import repro.fuzz.campaign as campaign_mod
 from repro.fuzz.campaign import planted_bug_oracle
-from repro.fuzz.oracles import engine_differential
+from repro.fuzz.oracles import backend_differential, engine_differential
 from repro.fuzz.shrink import candidates
 from repro.runner.execute import run_scenario
 from repro.runner.registry import get_algorithm
@@ -307,6 +310,29 @@ def test_planted_bug_campaign_finds_shrinks_and_repeats_byte_identically(tmp_pat
     assert second.executed == 0, "second planted-bug pass must be fully cached"
     fixture_paths = {f.fixture_path for f in first.findings}
     assert all(path is not None for path in fixture_paths)
+
+
+def test_backend_differential_runs_without_numpy(monkeypatch):
+    """Both backends are pure Python, so a vectorized run and the campaign's
+    backend differential work in an environment without numpy."""
+    monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy -> ImportError
+    record = run_scenario(
+        "rooted_sync",
+        ScenarioSpec(
+            family="grid2d", params={"rows": 8, "cols": 8}, k=32, backend="vectorized"
+        ),
+    )
+    assert record.status == "ok" and record.dispersed
+    verdicts = []
+
+    def counted(*args, **kwargs):
+        verdicts.append(backend_differential(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(campaign_mod, "backend_differential", counted)
+    report = run_campaign(CampaignConfig(seed=1, trials=6))
+    assert not report.findings
+    assert verdicts and all(v.ok and v.kind == "ok" for v in verdicts)
 
 
 def test_planted_oracle_passes_real_clean_records_through():

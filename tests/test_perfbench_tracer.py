@@ -12,18 +12,15 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
-import pytest
-
 from repro.runner.execute import run_scenario
 from repro.runner.scenario import ScenarioSpec
-from repro.sim.backends import KernelBackend, VectorizedBackend, backend_available
+from repro.sim.backends import KernelBackend, VectorizedBackend
 from repro.sim.kernel import ExecutionKernel
 from repro.sim.sync_engine import SyncEngine
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.mark.skipif(not backend_available("vectorized"), reason="numpy not installed")
 def test_tracer_counts_backend_primitives_and_undo_restores_them(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer_mod = importlib.import_module("tracer")

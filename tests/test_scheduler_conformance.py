@@ -39,7 +39,6 @@ from repro.runner.registry import core_algorithm_names, get_algorithm
 from repro.runner.scenario import build_scheduler, derive_seed
 from repro.runner.sweep import SweepSpec, run_sweep, smoke_sweep
 from repro.sim.adversary import (
-    Adversary,
     BoundedDelayScheduler,
     LockstepScheduler,
     RoundRobinAdversary,
@@ -129,10 +128,9 @@ def test_lockstep_scheduler_reproduces_sync_traces(schedule):
 
 
 def test_lockstep_is_a_scheduler_and_an_adversary():
-    """The family is one contract: historical and new names interoperate."""
-    assert Scheduler is Adversary
+    """The family is one contract: lockstep is round-robin under a new name."""
     scheduler = LockstepScheduler()
-    assert isinstance(scheduler, Adversary)
+    assert isinstance(scheduler, Scheduler)
     assert isinstance(scheduler, RoundRobinAdversary)
     scheduler.bind([3, 1, 2])
     assert [scheduler.next_agent() for _ in range(6)] == [3, 1, 2, 3, 1, 2]

@@ -79,8 +79,6 @@ def test_traced_record_changes_nothing_but_the_trace():
 
 @pytest.mark.parametrize("backend", ["reference", "vectorized"])
 def test_traced_walk_metrics_match_untraced(backend):
-    if backend == "vectorized":
-        pytest.importorskip("numpy")
     spec = ScenarioSpec(
         family="erdos_renyi", params={"n": 16, "p": 0.3}, k=8, backend=backend
     )
@@ -112,7 +110,6 @@ def test_same_spec_same_bytes_across_repeats(algorithm, spec):
 
 @pytest.mark.parametrize("algorithm", ["rooted_sync", "rooted_async", "naive_dfs"])
 def test_same_bytes_across_backends(algorithm):
-    pytest.importorskip("numpy")
     spec = ASYNC_SPEC if algorithm == "rooted_async" else SYNC_SPEC
     reference = _traced(algorithm, spec.with_backend("reference")).trace
     vectorized = _traced(algorithm, spec.with_backend("vectorized")).trace
