@@ -90,44 +90,57 @@ def test_fault_sweep_is_byte_deterministic_across_workers():
     assert clean and all(r["dispersed"] and r["invariant_violations"] == 0 for r in clean)
 
 
+#: The cursor-vs-rescan workload: a crowded population (~120 entries to
+#: scan) over the activation count of a long ASYNC run (240-tick horizon).
+CURSOR_SPEC = FaultSpec(crash=0.5, freeze=0.5, freeze_duration=40, horizon=240)
+CURSOR_AGENTS = list(range(1, 121))
+CURSOR_TICKS = 60_000
+
+
+def _cursor_and_rescan_legs():
+    """Drive the v2 cursor injector and the v1 rescan oracle over the same
+    schedule; returns both and each leg's wall seconds."""
+    injector = FaultInjector(CURSOR_SPEC, CURSOR_AGENTS, seed=7)
+    baseline = RescanFaultInjector(injector.crash_at, injector.freeze_window)
+
+    start = time.perf_counter()
+    for tick in range(CURSOR_TICKS):
+        injector.begin_tick(tick, None)  # engine unused: the profile has no churn
+    cursor_seconds = time.perf_counter() - start
+
+    start = time.perf_counter()
+    for tick in range(CURSOR_TICKS):
+        baseline.begin_tick(tick)
+    rescan_seconds = time.perf_counter() - start
+    return injector, baseline, cursor_seconds, rescan_seconds
+
+
+def test_event_cursor_injector_announces_what_the_rescan_does():
+    """The v2 event cursors announce exactly the v1 rescan's events, so the
+    speedup :func:`test_event_cursor_injector_beats_rescan_baseline` times
+    is free."""
+    injector, baseline, _, _ = _cursor_and_rescan_legs()
+    last = CURSOR_TICKS - 1
+    assert injector.counts["crash"] == baseline.counts["crash"] > 0
+    assert injector.counts["freeze"] == baseline.counts["freeze"] > 0
+    assert injector.blocked_cycle_agents(last) == baseline.blocked_at(last)
+
+
+@pytest.mark.perf
 def test_event_cursor_injector_beats_rescan_baseline(record_rows):
     """The v2 event-cursor scheduler must beat the v1 per-tick rescan.
 
     An ASYNC run makes one ``begin_tick`` per activation -- tens to hundreds
     of thousands of ticks against a ~240-tick fault horizon.  The v1 injector
     rescanned every crash/freeze entry on each of them (O(agents) per tick);
-    the v2 cursors advance in O(1) amortized.  This drives both through the
-    activation count of a long-horizon ASYNC sweep over one schedule and
-    asserts (a) they announce the identical events and (b) the cursors win by
-    a wide margin.
+    the v2 cursors advance in O(1) amortized, and must win by a wide margin.
     """
-    spec = FaultSpec(crash=0.5, freeze=0.5, freeze_duration=40, horizon=240)
-    agent_ids = list(range(1, 121))  # a crowded population: ~120 entries to scan
-    ticks = 60_000  # activations of a long ASYNC run (240-tick fault horizon)
-
-    injector = FaultInjector(spec, agent_ids, seed=7)
-    baseline = RescanFaultInjector(injector.crash_at, injector.freeze_window)
-
-    start = time.perf_counter()
-    for tick in range(ticks):
-        injector.begin_tick(tick, None)  # engine unused: the profile has no churn
-    cursor_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for tick in range(ticks):
-        baseline.begin_tick(tick)
-    rescan_seconds = time.perf_counter() - start
-
-    # Same announcements, same final blocked set -- the speedup is free.
-    assert injector.counts["crash"] == baseline.counts["crash"] > 0
-    assert injector.counts["freeze"] == baseline.counts["freeze"] > 0
-    assert injector.blocked_cycle_agents(ticks - 1) == baseline.blocked_at(ticks - 1)
-
+    _, _, cursor_seconds, rescan_seconds = _cursor_and_rescan_legs()
     speedup = rescan_seconds / max(cursor_seconds, 1e-9)
     report(
         "fault injector: event cursors vs per-tick rescan",
         [
-            f"agents={len(agent_ids)} ticks={ticks} horizon={spec.horizon}",
+            f"agents={len(CURSOR_AGENTS)} ticks={CURSOR_TICKS} horizon={CURSOR_SPEC.horizon}",
             f"rescan  {rescan_seconds * 1e3:9.1f} ms",
             f"cursors {cursor_seconds * 1e3:9.1f} ms",
             f"speedup {speedup:9.1f}x",

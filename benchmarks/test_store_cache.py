@@ -7,12 +7,15 @@ be representative (every paper algorithm, several families and sizes):
    records serialize to bytes identical to the cold run's artifact.
 2. **Incrementality pays** -- serving the grid from the store is decisively
    faster than recomputing it (that wall-clock gap is the entire reason the
-   store exists, so it is asserted, not just reported).
+   store exists, so it is asserted, not just reported).  This is a
+   wall-clock assertion, so it carries the ``perf`` marker (CI's perf job).
 """
 
 from __future__ import annotations
 
 import time
+
+import pytest
 
 from repro.runner import artifacts as artifacts_mod
 from repro.runner.sweep import SweepSpec
@@ -35,7 +38,10 @@ def store_grid() -> SweepSpec:
     )
 
 
-def test_warm_sweep_is_sound_and_decisively_faster(tmp_path, record_rows):
+def _cold_then_warm(tmp_path):
+    """Run the grid cold into a fresh store, then warm from it; checks the
+    warm pass is sound (all hits, byte-identical artifact) and returns the
+    warm plan and both passes' wall seconds."""
     sweep = store_grid()
     with RunStore(str(tmp_path / "bench.sqlite")) as store:
         start = time.perf_counter()
@@ -54,7 +60,16 @@ def test_warm_sweep_is_sound_and_decisively_faster(tmp_path, record_rows):
     warm_path = artifacts_mod.write_json(warm_records, str(tmp_path / "warm.json"), sweep=sweep)
     with open(cold_path, "rb") as a, open(warm_path, "rb") as b:
         assert a.read() == b.read()
+    return warm_plan, cold_time, warm_time
 
+
+def test_warm_sweep_reproduces_the_cold_artifact(tmp_path):
+    _cold_then_warm(tmp_path)
+
+
+@pytest.mark.perf
+def test_warm_sweep_is_sound_and_decisively_faster(tmp_path, record_rows):
+    warm_plan, cold_time, warm_time = _cold_then_warm(tmp_path)
     speedup = cold_time / max(warm_time, 1e-9)
     assert warm_time < cold_time / 2, (
         f"warm sweep ({warm_time:.3f}s) should be far cheaper than cold ({cold_time:.3f}s)"

@@ -77,9 +77,10 @@ class Agent:
         #: invariant checker uses this to tell legitimate settled-count drops
         #: from state corruption.
         self.unsettle_count = 0
-        #: Settled-index hook of the bound kernel backend (None when the
-        #: backend keeps no index); set by the backend on bind, never by
-        #: algorithm code.  Agents stay observable-state-identical either way.
+        #: Settle/unsettle observer of the bound kernel: its settle tally, or
+        #: a backend index that forwards to it (None until bound); set by the
+        #: backend on bind, never by algorithm code.  Agents stay
+        #: observable-state-identical either way.
         self._observer = None
         self.memory = AgentMemory(memory_model)
         # Every agent persistently stores its own ID (the Ω(log k) lower bound).

@@ -68,7 +68,7 @@ class KSAsyncDispersion:
     # ------------------------------------------------------------------- run
     def run(self) -> DispersionResult:
         self.engine.assign(self.leader.agent_id, self._leader_program())
-        self.engine.run_until(lambda: all(a.settled for a in self.agents.values()))
+        self.engine.run_until(self.engine.kernel.all_settled)
         metrics = self.engine.finalize_metrics()
         return DispersionResult(
             dispersed=is_dispersed(self.agents.values()),
@@ -129,7 +129,7 @@ class KSAsyncDispersion:
         self._settle_smallest_at(self.root, None)
         yield Stay()
 
-        while not all(a.settled for a in self.agents.values()):
+        while not self.engine.kernel.all_settled():
             w = self.leader.position
             settler = self._settler_at(w)
             if settler is None:

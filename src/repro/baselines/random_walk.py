@@ -60,7 +60,7 @@ def random_walk_dispersion(
 
     settle_pass()
     rounds = 0
-    while rounds < max_rounds and not all(a.settled for a in agents.values()):
+    while rounds < max_rounds and not engine.kernel.all_settled():
         moves = {}
         for agent in agents.values():
             if not agent.settled:

@@ -66,7 +66,7 @@ class SudoSyncDispersion:
     def run(self) -> DispersionResult:
         self._settle_smallest_at(self.root, None)
         self.visited.add(self.root)
-        while not all(a.settled for a in self.agents.values()):
+        while not self.engine.kernel.all_settled():
             w = self.leader.position
             port = self._doubling_probe(w)
             if port is not None:

@@ -112,12 +112,18 @@ class RootedAsyncDispersion:
         #: blocked DFS ends its program with agents still unsettled).
         self.finished = False
         self.blocked = False
+        #: Unsettled members of this group: counted when :meth:`run_group`
+        #: starts, decremented by :meth:`_settle_smallest_at` (the only place
+        #: a member settles while the group's DFS runs).
+        self.unsettled_members = 0
 
     # ------------------------------------------------------------------- run
     def run(self) -> DispersionResult:
         """Execute the algorithm under the configured adversary."""
         self.engine.assign(self.leader.agent_id, self._leader_program())
-        self.engine.run_until(lambda: all(a.settled for a in self.agents.values()))
+        # Single-root mode: this driver's agents are the engine's whole
+        # population, so the kernel's O(1) tally answers for them.
+        self.engine.run_until(self.engine.kernel.all_settled)
         metrics = self.engine.finalize_metrics()
         return DispersionResult(
             dispersed=is_dispersed(self.agents.values()),
@@ -144,9 +150,8 @@ class RootedAsyncDispersion:
         is blocked by foreign trees; returns the still-unsettled group members.
         """
         self.engine.assign(self.leader.agent_id, self._leader_program(settle_root=False))
-        self.engine.run_until(
-            lambda: self.finished or all(a.settled for a in self.agents.values())
-        )
+        self.unsettled_members = sum(1 for a in self.agents.values() if not a.settled)
+        self.engine.run_until(lambda: self.finished or self.unsettled_members == 0)
         return [a for a in self.agents.values() if not a.settled]
 
     # --------------------------------------------------------------- helpers
@@ -170,6 +175,7 @@ class RootedAsyncDispersion:
         pool = non_leader if non_leader else candidates
         agent = min(pool, key=lambda a: a.agent_id)
         agent.settle(node, parent_port, treelabel=self.treelabel)
+        self.unsettled_members -= 1
         self.visited.add(node)
         self.metrics.bump("settled")
         return agent

@@ -354,16 +354,6 @@ class PortLabeledGraph:
         i = self._offsets[v] + port - 1
         return self._flat_neighbor[i], self._flat_reverse[i]
 
-    def adjacency_arrays(self) -> Tuple[Sequence[int], Sequence[int], Sequence[int]]:
-        """The flat ``(offsets, neighbors, reverse_ports)`` arrays.
-
-        ``neighbors[offsets[v] + p - 1]`` is ``N(v, p)`` and
-        ``reverse_ports[offsets[v] + p - 1]`` is ``p_u(v)``.  Exposed for bulk
-        consumers (sweep executors, vectorized analysis); callers must treat
-        the arrays as read-only.
-        """
-        return self._offsets, self._flat_neighbor, self._flat_reverse
-
     def port_to(self, v: int, u: int) -> int:
         """Port of ``v`` leading to neighbor ``u`` (simulator-side helper)."""
         try:
@@ -473,10 +463,7 @@ class PortLabeledGraph:
         nodes are renumbered and the flat arrays are re-assembled from slices
         of the old ones, so a churn event costs O(n) C-speed copying instead of
         the full O(n + m) Python rebuild of :meth:`_install_orders` (kept as
-        the differential oracle in ``tests/port_graph_reference.py``).  The
-        old array objects are left intact, so a holder of
-        :meth:`adjacency_arrays` keeps a consistent pre-churn snapshot until
-        it observes :attr:`churn_count` and fetches the arrays again.
+        the differential oracle in ``tests/port_graph_reference.py``).
         """
         if remove is None and add is None:
             return

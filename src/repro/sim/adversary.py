@@ -121,9 +121,22 @@ class RandomAdversary(Scheduler):
         super().bind(agent_ids)
         # Restart the stream so a re-bound adversary replays deterministically.
         self._rng = random.Random(self._seed)
+        self._getrandbits = self._rng.getrandbits
+        self._count = len(self.agent_ids)
+        if not self._count:
+            # next_agent's rejection loop would never end on zero ids.
+            raise ValueError("cannot schedule an empty population")
+        self._bits = self._count.bit_length()
 
     def next_agent(self) -> int:
-        return self._rng.choice(self.agent_ids)
+        # The body of CPython's Random._randbelow_with_getrandbits, which
+        # Random.choice calls: the same draws, so the same stream as
+        # ``self._rng.choice(self.agent_ids)``, without two calls per draw.
+        getrandbits, count, bits = self._getrandbits, self._count, self._bits
+        r = getrandbits(bits)
+        while r >= count:
+            r = getrandbits(bits)
+        return self.agent_ids[r]
 
 
 class RoundRobinAdversary(Scheduler):

@@ -188,29 +188,47 @@ class AsyncEngine:
         """Completed epochs so far (see :meth:`close_epoch` for the final partial one)."""
         return self._kernel.metrics.epochs
 
-    def run_until(self, predicate: Callable[[], bool], check_every: int = 1) -> None:
+    def run_until(self, predicate: Callable[[], bool]) -> None:
         """Activate agents (per the scheduler) until ``predicate()`` is true.
 
-        ``check_every`` batches the predicate evaluation: the predicate is
-        checked once before the run and then after every ``check_every``
-        activations, so an expensive global predicate (e.g. "all agents
-        settled" over a large population) amortizes over a burst of cheap
-        activations.  The run may therefore overshoot the predicate's first
-        true point by up to ``check_every - 1`` activations; the default of 1
-        preserves exact per-activation checking.
+        The predicate is checked before every activation, so the run stops at
+        its first true point; the termination predicates are O(1)
+        (:meth:`~repro.sim.kernel.ExecutionKernel.all_settled`).
+
+        An idle activation -- the agent has no program and no pending action,
+        and no fault injector, invariant checker or trace recorder observes
+        the run -- executes nothing but the epoch bookkeeping, so it is done
+        inline here; every other activation is a full :meth:`_activate`.
         """
-        if check_every < 1:
-            raise ValueError(f"check_every must be >= 1, got {check_every}")
-        metrics = self._kernel.metrics
+        kernel = self._kernel
+        metrics = kernel.metrics
+        next_agent = self.adversary.next_agent
+        activate = self._activate
+        programs = self._programs
+        pending = self._pending
+        active = self._active_this_epoch
+        population = len(kernel.agents)
+        cap = self.max_activations
+        observed = (
+            kernel.fault_injector is not None
+            or kernel.invariant_checker is not None
+            or kernel.trace is not None
+        )
         while not predicate():
-            for _ in range(check_every):
-                agent_id = self.adversary.next_agent()
-                self._activate(agent_id)
-                if self.max_activations is not None and metrics.activations > self.max_activations:
-                    raise RuntimeError(
-                        f"exceeded max_activations={self.max_activations}; "
-                        "the algorithm is probably livelocked"
-                    )
+            agent_id = next_agent()
+            if observed or programs[agent_id] is not None or pending[agent_id] is not None:
+                activate(agent_id)
+            else:
+                metrics.activations += 1
+                active.add(agent_id)
+                if len(active) == population:
+                    metrics.epochs += 1
+                    active.clear()
+            if cap is not None and metrics.activations > cap:
+                raise RuntimeError(
+                    f"exceeded max_activations={cap}; "
+                    "the algorithm is probably livelocked"
+                )
         self.close_epoch()
 
     def close_epoch(self) -> None:

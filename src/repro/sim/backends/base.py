@@ -52,12 +52,17 @@ class KernelBackend(ABC):
         self.kernel: Optional["ExecutionKernel"] = None
 
     def bind(self, kernel: "ExecutionKernel") -> None:
-        """Attach to ``kernel`` and build state from its agent table."""
+        """Attach to ``kernel``, install its settle tally as every agent's
+        settle/unsettle observer, and build state from its agent table.
+
+        Installing replaces whatever observer a previously bound backend left
+        on the agents, so an agent feeds only the kernel that bound it last;
+        a backend that keeps its own index re-attaches itself in
+        :meth:`rebuild` and forwards each event to ``kernel.tally``.
+        """
         self.kernel = kernel
-        # Detach any settled-index observer a previously bound backend left on
-        # the agents; backends that keep an index re-attach in rebuild().
         for agent in kernel.agents.values():
-            agent._observer = None
+            agent._observer = kernel.tally
         self.rebuild()
 
     # ------------------------------------------------------------------ state

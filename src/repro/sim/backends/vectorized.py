@@ -14,10 +14,12 @@ questions without scanning the node's occupants:
 * ``_home_ids`` -- home node -> ids of the agents settled there, for the
   home-settler queries.
 
-The index is kept current by the ``Agent`` settle/unsettle observer hooks and
-by re-keying settled bodies (oscillators move while settled) after every
-move.  It is not fault-filtered, so under a fault injector every query defers
-to the reference scan -- the settled queries are Communicate queries.
+The index is kept current by the ``Agent`` settle/unsettle observer hooks
+(the backend observes its agents itself and forwards each event to the
+kernel's settle tally) and by re-keying settled bodies (oscillators move
+while settled) after every move.  It is not fault-filtered, so under a fault
+injector every query defers to the reference scan -- the settled queries are
+Communicate queries.
 
 The index is plain Python lists: Sync_Probe checks at most
 ``min(ceil(k/3), deg)`` neighbours per iteration, so a probe round carries a
@@ -59,6 +61,7 @@ class VectorizedBackend(ReferenceBackend):
     # ------------------------------------------------- settled-index upkeep
     def notify_settle(self, agent: Agent) -> None:
         """Agent observer hook: ``agent`` just settled (position == home)."""
+        self.kernel.tally.notify_settle(agent)
         node = agent.position
         self._settled_count[node] += 1
         self._settled_idsum[node] += agent.agent_id
@@ -66,6 +69,7 @@ class VectorizedBackend(ReferenceBackend):
 
     def notify_unsettle(self, agent: Agent) -> None:
         """Agent observer hook: ``agent`` is about to unsettle (state intact)."""
+        self.kernel.tally.notify_unsettle(agent)
         node = agent.position
         self._settled_count[node] -= 1
         self._settled_idsum[node] -= agent.agent_id

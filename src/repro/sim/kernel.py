@@ -15,6 +15,8 @@ lives here, in one :class:`ExecutionKernel` that both
   settled-agent index, selected per scenario,
 * move application (single activation moves and simultaneous SYNC batches)
   with the per-agent move accounting behind ``max_moves_per_agent``,
+* the settle tally behind :meth:`ExecutionKernel.all_settled`, the O(1)
+  answer every termination predicate asks,
 * resolution of the fault injector / invariant checker / backend from
   explicit arguments or the ambient :mod:`repro.sim.instrumentation` context,
 * the **fault clock** -- the tick fault queries are answered at: the
@@ -59,7 +61,38 @@ from repro.sim.metrics import RunMetrics
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.trace import TraceRecorder
 
-__all__ = ["ExecutionKernel"]
+__all__ = ["ExecutionKernel", "SettleTally"]
+
+
+class SettleTally:
+    """The settled-flag bookkeeping every bound kernel keeps in O(1).
+
+    ``unsettled`` is the number of the kernel's agents whose ``settled`` flag
+    is down; ``events`` counts every settle and unsettle notification, so it
+    moves whenever some settled flag may have changed.  The kernel answers
+    "is everyone settled?" from the first (:meth:`ExecutionKernel.all_settled`)
+    and the trace recorder skips unchanged ticks on the second.
+
+    The tally references nothing: agents point at it (or at a backend that
+    forwards to it), never the other way round, so binding a kernel adds no
+    reference cycle through its agents.
+    """
+
+    __slots__ = ("unsettled", "events")
+
+    def __init__(self, unsettled: int) -> None:
+        self.unsettled = unsettled
+        self.events = 0
+
+    def notify_settle(self, agent: Agent) -> None:
+        """Agent observer hook: ``agent`` just settled."""
+        self.unsettled -= 1
+        self.events += 1
+
+    def notify_unsettle(self, agent: Agent) -> None:
+        """Agent observer hook: ``agent`` is about to unsettle."""
+        self.unsettled += 1
+        self.events += 1
 
 
 class ExecutionKernel:
@@ -125,6 +158,9 @@ class ExecutionKernel:
         self.invariant_checker = invariant_checker
         if backend is None and config is not None:
             backend = config.backend
+        #: Unsettled-agent count and settle/unsettle event count, kept by the
+        #: observer hook the backend installs on every agent at bind.
+        self.tally = SettleTally(sum(1 for a in self.agents.values() if not a.settled))
         self.backend = resolve_backend(backend)
         self.backend.bind(self)
         # The recorder snapshots initial positions through the backend, so it
@@ -138,6 +174,12 @@ class ExecutionKernel:
     def occupancy(self) -> List[Set[int]]:
         """The backend's live per-node id sets (stable object across calls)."""
         return self.backend.occupancy
+
+    def all_settled(self) -> bool:
+        """True when every agent is settled, in O(1): the settle tally the
+        agents' settle/unsettle hook keeps, never a scan of the population.
+        Termination predicates ask this once per activation or round."""
+        return self.tally.unsettled == 0
 
     # -------------------------------------------------------------- the clock
     def now(self) -> int:

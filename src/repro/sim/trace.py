@@ -17,6 +17,15 @@ hook point that sees *every* state transition regardless of which layer caused
 it; a final catch-up diff at serialization time picks up driver-side settle
 passes that run after the last engine step.
 
+A tick is only diffed when something can have changed since the last diff.
+Positions change only through the backends' moves, which bump
+``metrics.total_moves``; settled flags only through ``Agent.settle`` /
+``unsettle``, which bump the kernel's settle tally; edges only through churn,
+which bumps ``graph.churn_count``.  When none of the three moved and no fault
+injector is installed (block/unblock edges follow the fault clock, not the
+world), the O(k) scan would find nothing and is skipped.  The catch-up diff
+never skips.
+
 Determinism contract: the serialized payload is a pure function of the run's
 observable state sequence.  It deliberately contains no wall-clock data (the
 phase timers stay on the recorder object), no backend tag, and no scenario
@@ -126,16 +135,24 @@ class TraceRecorder:
         #: must stay a pure function of the run, not of the machine.
         self.timings: Dict[str, float] = {"record_s": 0.0, "serialize_s": 0.0}
         self._final_diffed = False
+        self._seen = self._change_key()
 
     # ------------------------------------------------------------- recording
     def record_tick(self) -> None:
         """Record the delta of one completed tick (round or activation).
 
-        Called by the engines after their native counter advanced.
+        Called by the engines after their native counter advanced.  Without a
+        fault injector, a tick after which no move, settle/unsettle or churn
+        happened since the last diff is counted but not diffed.
         """
+        self.counters["ticks"] += 1
+        if self.kernel.fault_injector is None:
+            key = self._change_key()
+            if key == self._seen:
+                return
+            self._seen = key
         start = time.perf_counter()
         self._diff(self._now())
-        self.counters["ticks"] += 1
         self.timings["record_s"] += time.perf_counter() - start
 
     def record_activation(self, agent_id: int) -> None:
@@ -153,6 +170,12 @@ class TraceRecorder:
         self.counters["probe_queries"] += 1
         if answered:
             self.counters["probes_answered"] += 1
+
+    def _change_key(self) -> Tuple[int, int, int]:
+        """Counters that move whenever a position, settled flag or edge may
+        have changed (see the module docstring)."""
+        kernel = self.kernel
+        return (kernel.metrics.total_moves, kernel.tally.events, kernel.graph.churn_count)
 
     def _now(self) -> int:
         metrics = self.kernel.metrics

@@ -164,36 +164,6 @@ class TestAsyncEngine:
         with pytest.raises(RuntimeError):
             eng.run_until(lambda: False)
 
-    def test_run_until_honors_check_every(self):
-        """The predicate is evaluated once per ``check_every`` activations.
-
-        Regression for the pre-kernel engine, which accepted the parameter
-        and silently ignored it (checking after every single activation).
-        """
-        g = generators.line(4)
-        agents = make_agents(3)
-        eng = AsyncEngine(g, agents.values(), adversary=RoundRobinAdversary())
-        checks = {"n": 0}
-
-        def predicate():
-            checks["n"] += 1
-            return eng.metrics.activations >= 12
-
-        eng.run_until(predicate, check_every=6)
-        # One leading check + one after each 6-activation burst: 1 + 2.
-        assert checks["n"] == 3
-        assert eng.metrics.activations == 12
-        with pytest.raises(ValueError):
-            eng.run_until(lambda: True, check_every=0)
-
-    def test_run_until_check_every_may_overshoot_but_not_miss(self):
-        g = generators.line(4)
-        agents = make_agents(3)
-        eng = AsyncEngine(g, agents.values(), adversary=RoundRobinAdversary())
-        eng.run_until(lambda: eng.metrics.activations >= 1, check_every=5)
-        # The burst completes before the next check: 5 activations, not 1.
-        assert eng.metrics.activations == 5
-
 
 class TestKernelFacadeParity:
     """Both engines expose the kernel's full observation surface identically."""
