@@ -1,10 +1,10 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark module regenerates one artifact of the paper (a Table-1 row
-group or a figure-level guarantee); see DESIGN.md §5 for the index.  Besides
-the pytest-benchmark timings (wall-clock of the simulation itself), each module
-prints a small report with the *model-level* quantities the paper talks about
-(rounds, epochs, bits per agent), which is what EXPERIMENTS.md records.
+group or a figure-level guarantee), named in its file name and docstring.
+Besides the pytest-benchmark timings (wall-clock of the simulation itself),
+each module prints a small report with the *model-level* quantities the paper
+talks about (rounds, epochs, bits per agent), in which its claims are stated.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def pytest_sessionstart(session):
     _REPORT_PATH = os.path.join(os.path.dirname(__file__), "reports_last_run.txt")
     with open(_REPORT_PATH, "w", encoding="utf-8") as fh:
         fh.write("Model-level reports regenerated by `pytest benchmarks/ --benchmark-only`\n")
-        fh.write("(see DESIGN.md §5 for the experiment index, EXPERIMENTS.md for interpretation)\n")
+        fh.write("(each block's module docstring names the paper claim it checks)\n")
 
 
 def report(title: str, lines) -> None:

@@ -1,4 +1,4 @@
-"""A1–A3 ablations: design choices called out in DESIGN.md §5.
+"""A1–A3 ablations: three design choices of the paper, each varied.
 
 * A1-subsumption — the KS size rule: total collapse-walk cost over any
   partition of the k agents is O(k) (paper §8, footnote 6).

@@ -85,7 +85,10 @@ class Agent:
         self.memory = AgentMemory(memory_model)
         # Every agent persistently stores its own ID (the Ω(log k) lower bound).
         self.memory.write("ID", agent_id, FieldKind.ID)
-        # settled flag and pin are part of the persistent state.
+        # settled flag and pin are part of the persistent state.  pin is
+        # charged once, here, and never cleared; its value lives in
+        # ``self.pin`` (a port field costs the same bits whatever port it
+        # holds), so arrivals do not rewrite the memory field.
         self.memory.write("settled", False, FieldKind.FLAG)
         self.memory.write("pin", 0, FieldKind.PORT)
 
@@ -94,7 +97,6 @@ class Agent:
         """Simulator callback: the agent crossed an edge and arrived at ``node``."""
         self.position = node
         self.pin = incoming_port
-        self.memory.write("pin", incoming_port, FieldKind.PORT)
 
     # ----------------------------------------------------------------- state
     def settle(self, node: int, parent_port: Optional[int], treelabel: Optional[int] = None) -> None:

@@ -9,9 +9,11 @@ counter measures the whole execution.
 Coordination follows the same serialized schedule as the SYNC driver (largest
 group first, every root settled up front, blocked groups scatter their leftover
 agents), with the scatter walks expressed as agent programs so their cost is
-measured in real activations/epochs.  See DESIGN.md §3 for why the serialized
-schedule is a conservative (upper-bound) rendering of the concurrent KS
-execution whose collapse machinery lives in :mod:`repro.core.subsumption`.
+measured in real activations/epochs.  The serialized schedule is a
+conservative (upper-bound) rendering of the concurrent KS execution whose
+collapse machinery lives in :mod:`repro.core.subsumption`: groups that would
+run side by side run one after another, so their epochs add up instead of
+overlapping (see "Deviations from the paper" in the README).
 """
 
 from __future__ import annotations

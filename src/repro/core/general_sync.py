@@ -8,9 +8,10 @@ synchronous engine:
 
 * every group's smallest-ID agent settles on its start node up front, so the
   probes of any other group physically detect those roots as occupied;
-* groups are grown one after another, largest first (see DESIGN.md §3: the
-  measured rounds of this serialized schedule are an upper bound on the truly
-  concurrent schedule, so the ``O(k)`` shape claim is checked conservatively);
+* groups are grown one after another, largest first (the measured rounds of
+  this serialized schedule are an upper bound on the truly concurrent
+  schedule, so the ``O(k)`` shape claim is checked conservatively; see
+  "Deviations from the paper" in the README);
 * a group whose entire frontier is occupied by other trees (possible only in
   multi-root runs) fills the empty nodes of the tree it has built and then
   *scatters* its leftover agents: the group walks, edge by edge, to the nearest
@@ -192,7 +193,7 @@ class GeneralSyncDispersion:
         return not self.engine.kernel.has_home_settler(node)
 
     def _path_to_nearest_free(self, start: int) -> Optional[List[int]]:
-        """BFS (simulator-side pathfinding, see DESIGN.md §3) to the closest free
+        """BFS (simulator-side pathfinding, see _scatter) to the closest free
         node; returns the list of ports to traverse, or ``None`` if no free node
         exists (impossible while unsettled agents remain, since ``k ≤ n``)."""
         if self._free_node(start):
@@ -217,7 +218,7 @@ class GeneralSyncDispersion:
 
         Every move is a real engine round; only the route planning is
         simulator-assisted (a plain DFS over occupied nodes would find the same
-        nodes within the same asymptotic budget, see DESIGN.md §3).
+        nodes within the same asymptotic budget).
         """
         group = [a for a in agents if not a.settled]
         while group:

@@ -28,7 +28,7 @@ stores more than a constant number of port fields per node it owns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Container, Dict, List, Optional
 
 from repro.agents.agent import Agent
 from repro.agents.memory import FieldKind
@@ -82,6 +82,7 @@ _RECORD_FIELDS = (
 )
 
 _MAX_LIST_LEN = {"child_group": 3, "sibling_group": 2, "rt_queue": 4}
+_ALL_FIELDS = frozenset(name for name, _kind, _is_list in _RECORD_FIELDS)
 
 
 class NavLedger:
@@ -121,7 +122,13 @@ class NavLedger:
 
     # ------------------------------------------------------------- mutation
     def update(self, node: int, **changes) -> None:
-        """Mutate record fields and refresh the owner's memory charge."""
+        """Mutate record fields and charge the changed ones to the owner.
+
+        Only the changed fields are written, in ``_RECORD_FIELDS`` order, so
+        the owner's ``current_bits`` passes through the same values (and
+        reaches the same ``peak_bits``) as a full recharge would: rewriting an
+        unchanged field changes no bits.
+        """
         record = self._records[node]
         for name, value in changes.items():
             if not hasattr(record, name):
@@ -133,7 +140,7 @@ class NavLedger:
                         f"(got {len(value)}); the sibling-pointer chunking was violated"
                     )
             setattr(record, name, value)
-        self._charge(node, self._owners[node], record)
+        self._charge(node, self._owners[node], record, changes)
 
     def append_child_port(self, node: int, port: int) -> None:
         """Append a port to the node's first child group (ports of children 1..3)."""
@@ -147,26 +154,28 @@ class NavLedger:
 
     # ------------------------------------------------------------ accounting
     @staticmethod
-    def _field_names(node: int):
+    def _field_names(node: int, only: Container[str] = _ALL_FIELDS):
         for name, kind, is_list in _RECORD_FIELDS:
+            if name not in only:
+                continue
             if is_list:
                 for i in range(_MAX_LIST_LEN[name]):
                     yield f"nav[{node}].{name}[{i}]", kind, name, i
             else:
                 yield f"nav[{node}].{name}", kind, name, None
 
-    def _charge(self, node: int, owner: Agent, record: NavRecord) -> None:
-        for mem_name, kind, attr, index in self._field_names(node):
+    def _charge(
+        self, node: int, owner: Agent, record: NavRecord, only: Container[str] = _ALL_FIELDS
+    ) -> None:
+        """Write the record's fields named in ``only`` into the owner's memory."""
+        memory = owner.memory
+        for mem_name, kind, attr, index in self._field_names(node, only):
             value = getattr(record, attr)
             if index is not None:
                 value = value[index] if index < len(value) else None
-            if value is None:
-                owner.memory.declare(mem_name, kind)
-                owner.memory.write(mem_name, None)
-            else:
-                owner.memory.write(mem_name, value, kind)
+            memory.write(mem_name, value, kind)  # None clears the field
 
     def _discharge(self, node: int, owner: Agent) -> None:
+        memory = owner.memory
         for mem_name, kind, _attr, _index in self._field_names(node):
-            owner.memory.declare(mem_name, kind)
-            owner.memory.write(mem_name, None)
+            memory.write(mem_name, None, kind)

@@ -28,7 +28,7 @@ Two layers live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.agents.agent import Agent, AgentRole
 from repro.graph.port_graph import PortLabeledGraph
@@ -88,9 +88,10 @@ class Oscillator:
     """Runtime oscillation state machine for one settled agent.
 
     The SYNC engine calls :meth:`plan_step` once per round *before* executing
-    the round to obtain the port (if any) this oscillator moves through, and
-    :meth:`after_step` after the round so the oscillator can react to what it
-    finds at its current node (e.g. a newly settled agent on a covered node).
+    the round to obtain the port (if any) this oscillator moves through.  After
+    the round it calls :meth:`drop_cover` for a covered node the oscillator
+    stands on once another agent has settled there; nothing can be dropped
+    anywhere else, so the engine asks only on covered nodes.
 
     The oscillator's walk is driven entirely by a pre-planned list of ports from
     its home; it never needs more than O(1) port fields, which matches the
@@ -101,19 +102,24 @@ class Oscillator:
         self.agent = agent
         self.home = home
         self.graph = graph
-        self.covered: List[CoveredNode] = []
-        self._plan: List[int] = []       # ports still to traverse in the current trip
+        #: Covered nodes in the order they were assigned (the trip order).
+        self.covered: Dict[int, CoveredNode] = {}
+        self._plan: Sequence[int] = ()  # ports of the current trip (never mutated)
         self._plan_pos: int = 0
-        self._returning_home: bool = False
         self._stopped = False
+        # The full trip depends only on the cover set and the port numbering,
+        # so it is built once per cover change or churn event (see _full_trip).
+        self._trip: Optional[Tuple[int, ...]] = None
+        self._trip_churn = 0
         agent.role = AgentRole.OSCILLATOR
 
     # ------------------------------------------------------------ assignment
     def add_cover(self, node: int, route_out: Sequence[int]) -> None:
         """Start covering ``node`` (reached from home via ``route_out`` ports)."""
-        if any(c.node == node for c in self.covered):
+        if node in self.covered:
             return
-        self.covered.append(CoveredNode(node=node, route_out=tuple(route_out)))
+        self.covered[node] = CoveredNode(node=node, route_out=tuple(route_out))
+        self._trip = None
         # The new node is picked up on the next trip; if the oscillator was
         # parked at home with nothing to do, restart immediately.
         if not self._plan and self.agent.position == self.home:
@@ -122,7 +128,8 @@ class Oscillator:
 
     def drop_cover(self, node: int) -> None:
         """Stop covering ``node`` (someone settled there)."""
-        self.covered = [c for c in self.covered if c.node != node]
+        self.covered.pop(node, None)
+        self._trip = None
 
     @property
     def is_active(self) -> bool:
@@ -147,29 +154,35 @@ class Oscillator:
             else:
                 return None
         if self._plan_pos >= len(self._plan):
-            self._plan = []
+            self._plan = ()
             self._plan_pos = 0
             return self.plan_step()
         port = self._plan[self._plan_pos]
         self._plan_pos += 1
         if self._plan_pos >= len(self._plan):
-            self._plan = []
+            self._plan = ()
             self._plan_pos = 0
         return port
 
-    def after_step(self, settled_here_other: bool) -> None:
-        """Round post-processing: drop covered nodes that acquired a settler."""
-        if settled_here_other:
-            here = self.agent.position
-            if any(c.node == here for c in self.covered):
-                self.drop_cover(here)
-
     # --------------------------------------------------------------- helpers
-    def _full_trip(self) -> List[int]:
-        """Ports of one complete round-robin trip starting and ending at home."""
+    def _full_trip(self) -> Tuple[int, ...]:
+        """Ports of one complete round-robin trip starting and ending at home.
+
+        Cached per cover set: :meth:`add_cover` and :meth:`drop_cover` clear
+        the cache, and a churn event (which may renumber the ports the trip
+        resolves) invalidates it through ``graph.churn_count``.
+        """
+        churn = self.graph.churn_count
+        if self._trip is None or self._trip_churn != churn:
+            self._trip = self._build_trip()
+            self._trip_churn = churn
+        return self._trip
+
+    def _build_trip(self) -> Tuple[int, ...]:
+        """The trip of :meth:`_full_trip`, resolved against the current graph."""
         ports: List[int] = []
-        children = [c for c in self.covered if not c.is_sibling]
-        siblings = [c for c in self.covered if c.is_sibling]
+        children = [c for c in self.covered.values() if not c.is_sibling]
+        siblings = [c for c in self.covered.values() if c.is_sibling]
         for c in children:
             out = c.route_out[0]
             back = self.graph.reverse_port(self.home, out)
@@ -183,7 +196,7 @@ class Oscillator:
                 back = self.graph.reverse_port(parent, out)
                 ports.extend([out, back])
             ports.append(self.graph.reverse_port(self.home, to_parent))
-        return ports
+        return tuple(ports)
 
     def _path_home(self) -> List[int]:
         """Shortest port path from the current position back home.

@@ -75,8 +75,9 @@ class RootedSyncDispersion:
     start_node:
         The single node on which all agents start (the "root" of the DFS).
     wait_rounds:
-        How long a probing seeker waits at the probed neighbor (paper: 6; the
-        default adds slack for trips that restart mid-assignment, see DESIGN.md).
+        How long a probing seeker waits at the probed neighbor (paper: 6, one
+        full trip; the default adds slack for trips that restart mid-assignment,
+        see "Deviations from the paper" in the README).
     strict:
         When True (default), every probe classification is checked against the
         simulator's ground truth and any mismatch raises immediately.
@@ -497,15 +498,14 @@ class RootedSyncDispersion:
                     )
                 merged[osc.agent.agent_id] = port
         self.engine.step(merged)
+        kernel = self.engine.kernel
         for osc in self.oscillators.values():
             here = osc.agent.position
-            # A covered node is dropped only when an agent has *settled at* it
-            # (home == here); another oscillator merely passing through must not
-            # be mistaken for a settler of this node.
-            other_settled = self.engine.kernel.has_home_settler(
-                here, osc.agent.agent_id
-            )
-            osc.after_step(other_settled)
+            # Only a covered node can be dropped, and only once an agent has
+            # *settled at* it (home == here); another oscillator merely passing
+            # through must not be mistaken for a settler of this node.
+            if here in osc.covered and kernel.has_home_settler(here, osc.agent.agent_id):
+                osc.drop_cover(here)
 
     def move_group(self, node: int, port: int) -> None:
         """Move every unsettled group member currently at ``node`` through ``port``."""

@@ -14,8 +14,9 @@ iterations:
    DFS-tree nodes are visited by their covering oscillator at least once per
    trip, Lemma 2) -- a seeker that met nobody reports "fully unsettled".
 
-The wait window is ``ctx.wait_rounds`` (paper value 6; default 8 here, see
-DESIGN.md §3.2) and the whole call takes ``O(1)`` rounds (Lemma 4): at most
+The wait window is ``ctx.wait_rounds`` (paper value 6; default 8 here, the
+slack covering a trip that restarts mid-assignment, see "Deviations from the
+paper" in the README) and the whole call takes ``O(1)`` rounds (Lemma 4): at most
 ``⌈min{k, δ_w} / ⌈k/3⌉⌉ ≤ 3`` iterations of ``wait_rounds + 2`` rounds each.
 """
 

@@ -10,7 +10,8 @@ from repro.analysis.verification import verify_dispersion, check_memory_bound
 
 
 def topology_zoo():
-    """(name, graph-factory, k) triples covering the families in DESIGN.md."""
+    """(name, graph-factory, k) triples: trees of every shape the generators
+    build, sparse and dense cyclic graphs, and one world with ``k < n``."""
     return [
         ("line", lambda: generators.line(24), 24),
         ("ring", lambda: generators.ring(20), 20),

@@ -38,7 +38,13 @@ CASES = 10
 
 
 def arbitrary_cases(**ranges):
-    """Drive a test from Hypothesis, or from a seeded sweep without it."""
+    """Drive a test from Hypothesis, or from a seeded sweep without it.
+
+    The Hypothesis draw is derandomized, so every run checks the same cases
+    and costs the same time (a draw that lands on a runaway faulty run can
+    cost several times the median); the nightly fuzz campaign's backend
+    differential keeps searching fresh random scenarios.
+    """
 
     def decorate(fn):
         if HAVE_HYPOTHESIS:
@@ -49,6 +55,7 @@ def arbitrary_cases(**ranges):
             return settings(
                 max_examples=CASES,
                 deadline=None,
+                derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow],
             )(wrapped)
 

@@ -178,12 +178,11 @@ class TestOscillatorRuntime:
             eng.step({osc.agent.agent_id: port} if port else {})
             visited.append(osc.agent.position)
             here = osc.agent.position
-            osc.after_step(
-                any(
-                    a.settled and a.home == here and a.agent_id != osc.agent.agent_id
-                    for a in eng.kernel.agents_at(here)
-                )
-            )
+            if here in osc.covered and any(
+                a.settled and a.home == here and a.agent_id != osc.agent.agent_id
+                for a in eng.kernel.agents_at(here)
+            ):
+                osc.drop_cover(here)
         return visited
 
     def test_oscillator_visits_all_covered_nodes_every_trip(self):
@@ -207,7 +206,7 @@ class TestOscillatorRuntime:
         osc = Oscillator(settler, 0, g)
         osc.add_cover(3, (g.port_to(0, 3),))  # node 3 already hosts a settler
         self.run_rounds(eng, osc, 6)
-        assert not any(c.node == 3 for c in osc.covered)
+        assert 3 not in osc.covered
         # With nothing left to cover it parks at home.
         self.run_rounds(eng, osc, 4)
         assert osc.agent.position == 0
@@ -219,3 +218,56 @@ class TestOscillatorRuntime:
         osc.add_cover(1, (g.port_to(0, 1),))
         osc.stop()
         assert osc.plan_step() is None
+
+
+class TestTripCache:
+    """The cached full trip must equal one built from scratch after every
+    change that can alter it: a cover added, a cover dropped, or a churn event
+    that renumbers a port the trip crosses."""
+
+    @staticmethod
+    def make():
+        from repro.agents.agent import Agent
+        from repro.agents.memory import MemoryModel
+        from repro.graph.port_graph import PortLabeledGraph
+
+        # Ports follow list order: home 0 reaches child 1 through port 1 and
+        # child 2 through port 2; child 1 reaches home through its port 2.
+        graph = PortLabeledGraph([[1, 2, 3], [3, 0], [0, 3], [1, 2, 0]])
+        model = MemoryModel(k=4, max_degree=graph.max_degree)
+        osc = Oscillator(Agent(1, 0, model), 0, graph)
+        return graph, model, osc
+
+    @staticmethod
+    def fresh_trip(osc, model):
+        from repro.agents.agent import Agent
+
+        twin = Oscillator(Agent(2, osc.home, model), osc.home, osc.graph)
+        for cover in osc.covered.values():
+            twin.add_cover(cover.node, cover.route_out)
+        return twin._full_trip()
+
+    @pytest.mark.parametrize("change", ["add_cover", "drop_cover", "rewire"])
+    def test_next_trip_equals_a_fresh_one(self, change):
+        graph, model, osc = self.make()
+        osc.add_cover(1, (graph.port_to(0, 1),))
+        if change != "add_cover":
+            osc.add_cover(2, (graph.port_to(0, 2),))
+        before = osc._full_trip()  # fills the cache
+        if change == "add_cover":
+            osc.add_cover(2, (graph.port_to(0, 2),))
+        elif change == "drop_cover":
+            osc.drop_cover(1)
+        else:
+            # Child 1 loses its first neighbor, so its port back home drops
+            # from 2 to 1; the route out stays port 1.
+            graph.rewire(remove=(1, 3), add=(1, 2))
+            assert graph.port_to(1, 0) == 1
+        after = osc._full_trip()
+        assert after != before
+        assert after == self.fresh_trip(osc, model)
+
+    def test_unchanged_covers_reuse_the_trip(self):
+        graph, _model, osc = self.make()
+        osc.add_cover(1, (graph.port_to(0, 1),))
+        assert osc._full_trip() is osc._full_trip()

@@ -68,8 +68,9 @@ def test_ours_beats_edge_bound_baseline_on_dense_graphs():
 def test_async_ours_vs_ks_on_dense_graph():
     """ASYNC Table-1 separation: O(k log k) vs O(min{m, kΔ}) = Θ(k²) on K_k.
 
-    The crossover sits around k ≈ 24–32 on complete graphs (measured in
-    EXPERIMENTS.md); k = 32 is safely past it.
+    The crossover sits between k = 24 and k = 28 on complete graphs under
+    round-robin (epochs, ours vs KS: 607 vs 600 at k = 24, 740 vs 812 at
+    k = 28); k = 32 is safely past it.
     """
     k = 32
     ours = rooted_async_dispersion(

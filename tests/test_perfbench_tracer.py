@@ -4,7 +4,7 @@ The tracer patches methods from outside the package by looking them up in
 each class's own ``__dict__``, so moving a traced method to a base class
 breaks it with a ``KeyError`` that only a ``--trace 1`` benchmark run would
 hit.  This pins the contract in tier-1: install on the current classes,
-count real traffic on a tiny vectorized run, and undo cleanly.
+count real traffic on tiny runs, and undo cleanly.
 """
 
 from __future__ import annotations
@@ -12,6 +12,9 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
+from repro.agents.agent import Agent
+from repro.agents.memory import AgentMemory
+from repro.core.oscillation import Oscillator
 from repro.runner.execute import run_scenario
 from repro.runner.scenario import ScenarioSpec
 from repro.sim.backends import KernelBackend, VectorizedBackend
@@ -21,26 +24,48 @@ from repro.sim.sync_engine import SyncEngine
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_tracer_counts_backend_primitives_and_undo_restores_them(monkeypatch):
+#: Every class whose methods the tracer patches and a test below exercises.
+CLASSES = (
+    KernelBackend, VectorizedBackend, ExecutionKernel, SyncEngine, Oscillator, Agent, AgentMemory
+)
+
+
+def traced_run(monkeypatch, spec):
+    """Run rooted_sync on ``spec`` under the tracer; check the undo."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer_mod = importlib.import_module("tracer")
-    classes = (KernelBackend, VectorizedBackend, ExecutionKernel, SyncEngine)
-    before = {cls: dict(cls.__dict__) for cls in classes}
+    before = {cls: dict(cls.__dict__) for cls in CLASSES}
     tracer = tracer_mod.Tracer()
     patches = tracer_mod.install(tracer)
     try:
-        wrapped = VectorizedBackend.__dict__["run_scatter"]
-        assert wrapped is not before[VectorizedBackend]["run_scatter"]
-        spec = ScenarioSpec(
-            family="grid2d", params={"rows": 5, "cols": 5}, k=12, seed=0, backend="vectorized"
-        )
+        for cls, name in ((VectorizedBackend, "run_scatter"), (Oscillator, "plan_step"),
+                          (Agent, "arrive"), (AgentMemory, "write")):
+            assert cls.__dict__[name] is not before[cls][name]
         record = run_scenario("rooted_sync", spec)
     finally:
         patches.undo()
+    for cls in CLASSES:
+        for name, original in before[cls].items():
+            assert cls.__dict__[name] is original, f"{cls.__name__}.{name} not restored"
     assert record.dispersed
+    return tracer, record
+
+
+def test_tracer_counts_backend_primitives_and_undo_restores_them(monkeypatch):
+    spec = ScenarioSpec(
+        family="grid2d", params={"rows": 5, "cols": 5}, k=12, seed=0, backend="vectorized"
+    )
+    tracer, _record = traced_run(monkeypatch, spec)
     assert tracer.layers["sim.backends.settled_query"][0] > 0
     assert tracer.layers["sim.backends.run_probe_round"][0] > 0
     assert tracer.counts["sim.backends.vectorized.calls"] > 0
-    for cls in classes:
-        for name, original in before[cls].items():
-            assert cls.__dict__[name] is original, f"{cls.__name__}.{name} not restored"
+
+
+def test_tracer_counts_every_move_and_oscillator_round(monkeypatch):
+    # k >= 7: below that rooted_sync falls back to naive DFS and runs no
+    # oscillator.
+    spec = ScenarioSpec(family="random_tree", params={"n": 20}, k=12, seed=0)
+    tracer, record = traced_run(monkeypatch, spec)
+    assert tracer.counts["agents.arrive.calls"] == record.total_moves
+    assert tracer.counts["core.oscillation.plan_step.calls"] > 0
+    assert tracer.counts["agents.memory.write.calls"] > 0

@@ -12,9 +12,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.oscillation import Oscillator
 from repro.core.rooted_sync import RootedSyncDispersion, rooted_sync_dispersion, SMALL_K_THRESHOLD
 from repro.graph import generators
 from repro.graph.properties import is_valid_tree_rooted_at
+from repro.runner.execute import run_scenario
+from repro.runner.scenario import ScenarioSpec
+from repro.sim.faults import parse_faults
 from tests.conftest import assert_valid_result, topology_zoo
 
 
@@ -191,3 +195,47 @@ def test_property_random_graphs_disperse(k, p, seed):
     result = driver.run()
     assert result.dispersed
     assert len(set(result.positions.values())) == k
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+@pytest.mark.parametrize("profile", ["none", "freeze:0.3:20"])
+@pytest.mark.parametrize("algorithm", ["rooted_sync", "general_sync"])
+def test_no_oscillator_stays_on_a_settled_cover(monkeypatch, algorithm, profile, backend):
+    """``tick`` asks for a home settler only where an oscillator stands on a
+    node it covers.  After every tick, no oscillator may stand on a node it
+    still covers while another agent is settled there."""
+    seen = {"ticks": 0, "drops": 0, "stale": []}
+    tick, drop_cover = RootedSyncDispersion.tick, Oscillator.drop_cover
+
+    def checked_tick(self, moves):
+        tick(self, moves)
+        seen["ticks"] += 1
+        kernel = self.engine.kernel
+        for osc in self.oscillators.values():
+            here = osc.agent.position
+            if here in osc.covered and kernel.has_home_settler(here, osc.agent.agent_id):
+                seen["stale"].append((osc.agent.agent_id, here, kernel.now()))
+
+    def counted_drop_cover(self, node):
+        seen["drops"] += 1
+        drop_cover(self, node)
+
+    monkeypatch.setattr(RootedSyncDispersion, "tick", checked_tick)
+    monkeypatch.setattr(Oscillator, "drop_cover", counted_drop_cover)
+    split = algorithm == "general_sync"
+    # A world on which both drivers survive the freeze profile to the end and
+    # drop child and sibling covers alike, under faults too.
+    spec = ScenarioSpec(
+        family="binary_tree",
+        params={"depth": 4},
+        k=31,
+        seed=5,
+        placement="split" if split else "rooted",
+        placement_parts=2 if split else 1,
+        faults=parse_faults(profile),
+        backend=backend,
+    )
+    record = run_scenario(algorithm, spec)
+    assert record.status == "ok", record.error
+    assert seen["stale"] == []
+    assert seen["ticks"] > 0 and seen["drops"] > 0
