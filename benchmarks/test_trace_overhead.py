@@ -4,8 +4,8 @@ With tracing disabled the recorder hooks compile down to one ``is None``
 check per round; the per-round ``step`` loop is held within 10% of the
 distilled seed loops by ``benchmarks/test_engine_fastpath.py``.  Enabled
 tracing diffs the full agent state on every tick after which something
-moved, settled or unsettled (and on every tick under a fault injector), so
-it is *not* free: the committed trajectory data in
+moved, settled or unsettled (and the block/unblock edges on every tick
+under a fault injector), so it is *not* free: the committed trajectory data in
 ``benchmarks/BENCH_trace.json`` (a ``repro-bench-v1`` JSON report) records
 the measured overhead ratios, and this module re-measures them with a
 generous portable ceiling.  That re-measurement is a wall-clock assertion,
@@ -33,8 +33,10 @@ BENCH_FORMAT = "repro-bench-v1"
 BENCH_TRACE = "benchmarks/BENCH_trace.json"
 
 #: Portable ceiling for the traced/untraced wall-time ratio.  The committed
-#: trajectory measures ~1.2-2.2x; 8x still catches a recorder accidentally
-#: landing on the per-op hot path (that measures 50x+).
+#: trajectory measures ~1.2-2.5x (rooted_sync is the high end: only its
+#: untraced run fast-forwards oscillator trips, the traced one steps every
+#: oscillator every round); 8x still catches a recorder accidentally landing
+#: on the per-op hot path (that measures 50x+).
 MAX_OVERHEAD = 8.0
 
 #: Median-of-N estimator keeps a background blip from deciding a ratio.

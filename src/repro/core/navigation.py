@@ -100,7 +100,7 @@ class NavLedger:
         record = NavRecord(**initial)
         self._records[node] = record
         self._owners[node] = owner
-        self._charge(node, owner, record)
+        self._charge_set_fields(node, owner, record)
         return record
 
     def get(self, node: int) -> NavRecord:
@@ -116,9 +116,9 @@ class NavLedger:
         """Move ownership (and the memory charge) of a record to another agent."""
         record = self._records[node]
         old = self._owners[node]
-        self._discharge(node, old)
+        self._discharge(node, old, record)
         self._owners[node] = new_owner
-        self._charge(node, new_owner, record)
+        self._charge_set_fields(node, new_owner, record)
 
     # ------------------------------------------------------------- mutation
     def update(self, node: int, **changes) -> None:
@@ -175,7 +175,28 @@ class NavLedger:
                 value = value[index] if index < len(value) else None
             memory.write(mem_name, value, kind)  # None clears the field
 
-    def _discharge(self, node: int, owner: Agent) -> None:
+    @staticmethod
+    def _set_fields(node: int, record: NavRecord):
+        """``(memory name, kind, value)`` of every field ``record`` has set,
+        in ``_RECORD_FIELDS`` order: exactly what its owner is charged for."""
+        for name, kind, is_list in _RECORD_FIELDS:
+            value = getattr(record, name)
+            if is_list:
+                for i, item in enumerate(value):
+                    if item is not None:
+                        yield f"nav[{node}].{name}[{i}]", kind, item
+            elif value is not None:
+                yield f"nav[{node}].{name}", kind, value
+
+    def _charge_set_fields(self, node: int, owner: Agent, record: NavRecord) -> None:
+        """Charge a record to an owner holding none of its fields.  Writing an
+        unset field would clear nothing, so only the set ones are written."""
         memory = owner.memory
-        for mem_name, kind, _attr, _index in self._field_names(node):
+        for mem_name, kind, value in self._set_fields(node, record):
+            memory.write(mem_name, value, kind)
+
+    def _discharge(self, node: int, owner: Agent, record: NavRecord) -> None:
+        """Clear the record's charged (set) fields from its owner's memory."""
+        memory = owner.memory
+        for mem_name, kind, _value in self._set_fields(node, record):
             memory.write(mem_name, None, kind)

@@ -20,7 +20,10 @@
   (:mod:`repro.core.retraversal`), settling on the empty nodes.
 
 Every round of the execution is a real engine round in which agents cross at
-most one edge each; the reported time is the engine's round counter.
+most one edge each; the reported time is the engine's round counter.  On a run
+that nothing watches tick by tick, the oscillators' trip steps are
+fast-forwarded on demand instead of simulated round by round
+(:class:`~repro.core.oscillation.LazyOscillators`); the records are the same.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from repro.agents.memory import FieldKind, MemoryModel
 from repro.analysis.verification import is_dispersed
 from repro.core.empty_nodes import keeps_settler_at_position
 from repro.core.navigation import NavLedger
-from repro.core.oscillation import Oscillator
+from repro.core.oscillation import LazyOscillators, Oscillator
 from repro.core.retraversal import ascend_to_root, retraverse_and_settle
 from repro.core.sync_probe import sync_probe
 from repro.graph.port_graph import PortLabeledGraph
@@ -137,6 +140,8 @@ class RootedSyncDispersion:
 
         self.ledger = NavLedger()
         self.oscillators: Dict[int, Oscillator] = {}
+        #: The lazily stepped oscillators while the DFS runs unobserved.
+        self._lazy: Optional[LazyOscillators] = None
 
         # Simulator-side ground truth (verification only, never drives decisions).
         self.visited: Set[int] = set()
@@ -184,6 +189,7 @@ class RootedSyncDispersion:
 
         self.settle_root()
         self._select_seekers()
+        self._start_oscillators()
         self._dfs_phase()
         ascend_to_root(self)
         retraverse_and_settle(self)
@@ -199,6 +205,7 @@ class RootedSyncDispersion:
         scatters them separately.
         """
         self._select_seekers()
+        self._start_oscillators()
         try:
             self._dfs_phase()
         except GroupBlocked:
@@ -238,6 +245,8 @@ class RootedSyncDispersion:
             )
         amin = min(candidates, key=lambda a: a.agent_id)
         amin.settle(self.root, None)
+        if self._lazy is not None:
+            self._lazy.settled_at(self.root)
         self.visited.add(self.root)
         self.depth[self.root] = 0
         self.ledger.create(
@@ -320,7 +329,7 @@ class RootedSyncDispersion:
             )
         else:
             assert coverer is not None
-            coverer.add_cover(u, cover_route)
+            self._add_cover(coverer, u, cover_route)
             self.ledger.create(
                 u,
                 coverer.agent,
@@ -377,7 +386,7 @@ class RootedSyncDispersion:
         anchor_agent = self._visit_neighbor_and_get_owner(pw, anchor_port)
         anchor_osc = self._oscillator_for(anchor_agent, anchor_node)
         back_port = self.graph.reverse_port(pw, anchor_port)
-        anchor_osc.add_cover(w, (back_port, port_pw_to_w))
+        self._add_cover(anchor_osc, w, (back_port, port_pw_to_w))
         self.ledger.update(w, occupied=False)
         self.ledger.transfer(w, anchor_agent)
         self.metrics.bump("settlers_removed")
@@ -391,6 +400,8 @@ class RootedSyncDispersion:
         settler = self.engine.kernel.home_settler_at(w)
         if settler is None:
             raise AssertionError(f"expected a settler at leaf node {w}")
+        if self._lazy is not None:
+            self._lazy.before_unsettle(settler)
         settler.unsettle()
         if settler.agent_id in self.oscillators:
             del self.oscillators[settler.agent_id]
@@ -457,6 +468,8 @@ class RootedSyncDispersion:
             self.metrics.bump("seeker_settled_during_dfs")
         agent = min(pool, key=lambda a: a.agent_id)
         agent.settle(node, parent_port)
+        if self._lazy is not None:
+            self._lazy.settled_at(node)
         if agent in self.seekers:
             self.seekers = [s for s in self.seekers if s is not agent]
         self.metrics.bump("settled_during_dfs")
@@ -473,6 +486,8 @@ class RootedSyncDispersion:
             raise AssertionError(f"no unsettled agent available to settle at node {node}")
         agent = min(candidates, key=lambda a: a.agent_id)
         agent.settle(node, parent_port)
+        if self._lazy is not None:
+            self._lazy.settled_at(node)
         if agent in self.seekers:
             self.seekers = [s for s in self.seekers if s is not agent]
         self.ledger.update(node, occupied=True)
@@ -486,9 +501,18 @@ class RootedSyncDispersion:
 
     # -------------------------------------------------------------- movement
     def tick(self, moves: Dict[int, int]) -> None:
-        """Advance one round: controller moves plus all oscillator trips."""
+        """Advance one round: controller moves plus all oscillator trips.
+
+        Every oscillator takes its trip step and has its drop check here,
+        unless the run is unobserved: then only the eager ones do (those with
+        a settled covered node still to drop, or moved by the controller), and
+        the rest are fast-forwarded when something observes them (see
+        :class:`~repro.core.oscillation.LazyOscillators`).
+        """
+        lazy = self._lazy
+        stepped = self.oscillators if lazy is None else lazy.begin_tick(moves)
         merged = dict(moves)
-        for osc in self.oscillators.values():
+        for osc in stepped.values():
             port = osc.plan_step()
             if port is not None:
                 if osc.agent.agent_id in merged:
@@ -498,8 +522,10 @@ class RootedSyncDispersion:
                     )
                 merged[osc.agent.agent_id] = port
         self.engine.step(merged)
+        if lazy is not None:
+            lazy.end_tick()
         kernel = self.engine.kernel
-        for osc in self.oscillators.values():
+        for osc in stepped.values():
             here = osc.agent.position
             # Only a covered node can be dropped, and only once an agent has
             # *settled at* it (home == here); another oscillator merely passing
@@ -520,7 +546,7 @@ class RootedSyncDispersion:
         """Wait (real rounds) until the owner of ``node``'s record is at ``node``."""
         owner = self.ledger.owner(node)
         waited = 0
-        while owner.position != node:
+        while self._position(owner) != node:
             self.tick({})
             waited += 1
             if waited > _HOLDER_WAIT_LIMIT:
@@ -531,16 +557,42 @@ class RootedSyncDispersion:
         if waited:
             self.metrics.bump("holder_wait_rounds", waited)
 
+    def _position(self, agent: Agent) -> int:
+        """``agent``'s position, landing it first if it oscillates lazily."""
+        if self._lazy is not None:
+            self._lazy.land_agent(agent)
+        return agent.position
+
     # ------------------------------------------------------------ oscillators
+    def _start_oscillators(self) -> None:
+        """Step oscillators lazily unless something watches every tick."""
+        kernel = self.engine.kernel
+        if not kernel.observed:
+            self._lazy = LazyOscillators(kernel, self.oscillators)
+
     def _oscillator_for(self, agent: Agent, home: int) -> Oscillator:
         osc = self.oscillators.get(agent.agent_id)
         if osc is None:
             osc = Oscillator(agent, home, self.graph)
             self.oscillators[agent.agent_id] = osc
+            if self._lazy is not None:
+                self._lazy.adopt(osc)
         return osc
 
+    def _add_cover(self, osc: Oscillator, node: int, route_out: Sequence[int]) -> None:
+        if self._lazy is None:
+            osc.add_cover(node, route_out)
+        else:
+            self._lazy.add_cover(osc, node, route_out)
+
     def _quiesce_oscillators(self) -> None:
-        """Let every oscillator drop its (now settled) covered nodes and go home."""
+        """Let every oscillator drop its (now settled) covered nodes and go home.
+
+        Lazy oscillators land first; from here on every oscillator steps each
+        round, so the ``is_active`` reads see where the bodies are."""
+        if self._lazy is not None:
+            self._lazy.close()
+            self._lazy = None
         guard = 0
         while any(osc.is_active for osc in self.oscillators.values()):
             self.tick({})

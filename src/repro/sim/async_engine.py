@@ -196,9 +196,9 @@ class AsyncEngine:
         (:meth:`~repro.sim.kernel.ExecutionKernel.all_settled`).
 
         An idle activation -- the agent has no program and no pending action,
-        and no fault injector, invariant checker or trace recorder observes
-        the run -- executes nothing but the epoch bookkeeping, so it is done
-        inline here; every other activation is a full :meth:`_activate`.
+        and the kernel is not :attr:`~repro.sim.kernel.ExecutionKernel.observed`
+        -- executes nothing but the epoch bookkeeping, so it is done inline
+        here; every other activation is a full :meth:`_activate`.
         """
         kernel = self._kernel
         metrics = kernel.metrics
@@ -209,11 +209,7 @@ class AsyncEngine:
         active = self._active_this_epoch
         population = len(kernel.agents)
         cap = self.max_activations
-        observed = (
-            kernel.fault_injector is not None
-            or kernel.invariant_checker is not None
-            or kernel.trace is not None
-        )
+        observed = kernel.observed
         while not predicate():
             agent_id = next_agent()
             if observed or programs[agent_id] is not None or pending[agent_id] is not None:

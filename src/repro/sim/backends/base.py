@@ -88,6 +88,12 @@ class KernelBackend(ABC):
     def apply_batch(self, moves: Mapping[int, Optional[int]]) -> None:
         """Apply one round's move batch simultaneously (the SYNC primitive)."""
 
+    @abstractmethod
+    def apply_walk(self, agent: "Agent", node: int, pin: int, moves: int) -> None:
+        """Land ``agent`` at ``node`` (arrived through ``pin``) after ``moves``
+        unobserved edge crossings, with the state and move accounting of
+        ``moves`` single moves (the lazy oscillators' landing primitive)."""
+
     # ------------------------------------------------------------ observation
     @abstractmethod
     def present_ids(self, node: int) -> List[int]:

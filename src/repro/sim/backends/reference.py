@@ -82,6 +82,17 @@ class ReferenceBackend(KernelBackend):
         kernel.metrics.total_moves += len(planned)
         kernel.metrics.max_moves_per_agent = max_moves
 
+    def apply_walk(self, agent: Agent, node: int, pin: int, moves: int) -> None:
+        kernel = self.kernel
+        self._occupancy[agent.position].discard(agent.agent_id)
+        agent.arrive(node, pin)
+        self._occupancy[node].add(agent.agent_id)
+        kernel.metrics.total_moves += moves
+        count = kernel.moves_per_agent.get(agent.agent_id, 0) + moves
+        kernel.moves_per_agent[agent.agent_id] = count
+        if count > kernel.metrics.max_moves_per_agent:
+            kernel.metrics.max_moves_per_agent = count
+
     # ------------------------------------------------------------ observation
     def present_ids(self, node: int) -> List[int]:
         return sorted(self._occupancy[node])

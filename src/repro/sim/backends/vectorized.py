@@ -108,6 +108,12 @@ class VectorizedBackend(ReferenceBackend):
         for agent, src in settled_sources:
             self._settled_body_moved(agent, src, agent.position)
 
+    def apply_walk(self, agent: Agent, node: int, pin: int, moves: int) -> None:
+        src = agent.position
+        super().apply_walk(agent, node, pin, moves)
+        if agent.settled:
+            self._settled_body_moved(agent, src, node)
+
     # ------------------------------------------------- settled-agent queries
     # Deterministic primitives: index-answered only when no fault injector is
     # installed (fault filtering needs the injector's per-agent view, which is

@@ -27,7 +27,12 @@ lives here, in one :class:`ExecutionKernel` that both
   ``settled_agent_at``, ``settled_agents_at``, ``fault_view``,
   ``positions``, ``finalize_metrics``): a crashed/frozen agent's body stays
   physically present but it is invisible to co-located interaction -- it can
-  neither settle, be settled or instructed, nor answer probes while blocked.
+  neither settle, be settled or instructed, nor answer probes while blocked,
+* the **observed** switch: while a fault injector, invariant checker or trace
+  recorder watches every tick, no fast path may skip simulated work; on an
+  unobserved SYNC run a driver may leave its oscillators' bodies behind
+  (:class:`~repro.core.oscillation.LazyOscillators`), and every node query
+  and whole-world read above lands them first through the ``lazy`` hook.
 
 Scheduling policy -- what a "step" is, how time advances, which agent acts
 next -- stays in the facades and in the pluggable schedulers of
@@ -59,6 +64,7 @@ from repro.sim.invariants import InvariantChecker
 from repro.sim.metrics import RunMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.oscillation import LazyOscillators
     from repro.sim.trace import TraceRecorder
 
 __all__ = ["ExecutionKernel", "SettleTally"]
@@ -163,12 +169,29 @@ class ExecutionKernel:
         self.tally = SettleTally(sum(1 for a in self.agents.values() if not a.settled))
         self.backend = resolve_backend(backend)
         self.backend.bind(self)
+        #: Bodies a SYNC driver steps lazily (its
+        #: :class:`~repro.core.oscillation.LazyOscillators`): every node query
+        #: calls ``lazy.land_at(node)`` and every whole-world read
+        #: ``lazy.land_all()`` first.  ``None`` on every other run.
+        self.lazy: Optional["LazyOscillators"] = None
         # The recorder snapshots initial positions through the backend, so it
         # must resolve after the bind.  ``None`` is the tracing-off fast path:
         # every hook below is a single attribute check.
         self.trace: Optional["TraceRecorder"] = None
         if config is not None and config.trace:
             self.trace = config.make_recorder(self)
+
+    @property
+    def observed(self) -> bool:
+        """True when a fault injector, an invariant checker or a trace
+        recorder is attached.  They watch every tick, so the fast paths that
+        skip simulated work (the ASYNC engine's inline idle activations, the
+        SYNC drivers' lazy oscillators) are taken only when this is false."""
+        return (
+            self.fault_injector is not None
+            or self.invariant_checker is not None
+            or self.trace is not None
+        )
 
     @property
     def occupancy(self) -> List[Set[int]]:
@@ -204,6 +227,12 @@ class ExecutionKernel:
         """
         self.backend.apply_batch(moves)
 
+    def apply_walk(self, agent: Agent, node: int, pin: int, moves: int) -> None:
+        """Land ``agent`` at ``node``, arrived through ``pin``, after ``moves``
+        edge crossings nobody observed; books them as ``moves`` single moves
+        would be (the lazy oscillators' landing primitive)."""
+        self.backend.apply_walk(agent, node, pin, moves)
+
     # ------------------------------------------------------------ observation
     def fault_view(self, agent_id: int) -> AgentFaultView:
         """The agent's :class:`AgentFaultView` at the current fault clock.
@@ -225,6 +254,8 @@ class ExecutionKernel:
         is invisible here -- it cannot answer probes, be settled, or be
         instructed while blocked.
         """
+        if self.lazy is not None:
+            self.lazy.land_at(node)
         present = self.backend.present_ids(node)
         injector = self.fault_injector
         if injector is None:
@@ -234,6 +265,8 @@ class ExecutionKernel:
 
     def occupied(self, node: int) -> bool:
         """True when at least one agent body is at ``node`` (physical query)."""
+        if self.lazy is not None:
+            self.lazy.land_at(node)
         return self.backend.occupied(node)
 
     def settled_agent_at(self, node: int) -> Optional[Agent]:
@@ -267,30 +300,43 @@ class ExecutionKernel:
         driver loops it replaced -- it does *not* count a trace probe (only
         :meth:`settled_agent_at` / :meth:`settled_agents_at` do).
         """
+        if self.lazy is not None:
+            self.lazy.land_at(node)
         return self.backend.settled_present(node, exclude_id)
 
     def home_settler_at(self, node: int) -> Optional[Agent]:
         """The min-id communicating agent settled with ``home == node``."""
+        if self.lazy is not None:
+            self.lazy.land_at(node)
         return self.backend.home_settler_at(node)
 
     def has_home_settler(self, node: int, exclude_id: Optional[int] = None) -> bool:
         """True when a communicating agent other than ``exclude_id`` is settled
         with ``home == node`` (the scatter drivers' "node is taken" test)."""
+        if self.lazy is not None:
+            self.lazy.land_at(node)
         return self.backend.has_home_settler(node, exclude_id)
 
     def run_probe_round(
         self, nodes: Sequence[int], exclude_ids: Sequence[int]
     ) -> List[bool]:
         """Batched :meth:`settled_present` over parallel sequences."""
+        if self.lazy is not None:
+            for node in nodes:
+                self.lazy.land_at(node)
         return self.backend.run_probe_round(nodes, exclude_ids)
 
     def positions(self) -> Dict[int, int]:
         """Snapshot of ``agent_id -> node``."""
+        if self.lazy is not None:
+            self.lazy.land_all()
         return self.backend.positions()
 
     def finalize_metrics(self) -> RunMetrics:
         """Fold per-agent memory peaks (and any fault/invariant counters) into
         the run metrics and return them."""
+        if self.lazy is not None:
+            self.lazy.land_all()
         self.metrics.record_memory(self.agents.values())
         if self.invariant_checker is not None:
             self.invariant_checker.finalize(self.now())

@@ -17,14 +17,14 @@ hook point that sees *every* state transition regardless of which layer caused
 it; a final catch-up diff at serialization time picks up driver-side settle
 passes that run after the last engine step.
 
-A tick is only diffed when something can have changed since the last diff.
-Positions change only through the backends' moves, which bump
+The world is only rescanned when something can have changed since the last
+diff.  Positions change only through the backends' moves, which bump
 ``metrics.total_moves``; settled flags only through ``Agent.settle`` /
 ``unsettle``, which bump the kernel's settle tally; edges only through churn,
-which bumps ``graph.churn_count``.  When none of the three moved and no fault
-injector is installed (block/unblock edges follow the fault clock, not the
-world), the O(k) scan would find nothing and is skipped.  The catch-up diff
-never skips.
+which bumps ``graph.churn_count``.  When none of the three moved, the O(k)
+positions and settled scan would find nothing and is skipped.  Block/unblock
+edges follow the fault clock, not the world, so under a fault injector that
+pass still runs every tick.  The catch-up diff never skips.
 
 Determinism contract: the serialized payload is a pure function of the run's
 observable state sequence.  It deliberately contains no wall-clock data (the
@@ -141,18 +141,19 @@ class TraceRecorder:
     def record_tick(self) -> None:
         """Record the delta of one completed tick (round or activation).
 
-        Called by the engines after their native counter advanced.  Without a
-        fault injector, a tick after which no move, settle/unsettle or churn
-        happened since the last diff is counted but not diffed.
+        Called by the engines after their native counter advanced.  A tick
+        after which no move, settle/unsettle or churn happened since the last
+        diff skips the world scan; without a fault injector (whose block and
+        unblock edges are diffed every tick) it is only counted.
         """
         self.counters["ticks"] += 1
-        if self.kernel.fault_injector is None:
-            key = self._change_key()
-            if key == self._seen:
-                return
-            self._seen = key
+        key = self._change_key()
+        changed = key != self._seen
+        if not changed and self.kernel.fault_injector is None:
+            return
+        self._seen = key
         start = time.perf_counter()
-        self._diff(self._now())
+        self._diff(self._now(), world=changed)
         self.timings["record_s"] += time.perf_counter() - start
 
     def record_activation(self, agent_id: int) -> None:
@@ -181,30 +182,14 @@ class TraceRecorder:
         metrics = self.kernel.metrics
         return metrics.activations if self.granularity == "activations" else metrics.rounds
 
-    def _diff(self, t: int) -> None:
+    def _diff(self, t: int, world: bool = True) -> None:
+        """Emit the events since the last diff; ``world=False`` skips the
+        positions and settled scan (nothing moved, settled or unsettled)."""
         kernel = self.kernel
-        positions = kernel.positions()
-        agents = kernel.agents
-        settled = {a for a in self.agent_ids if agents[a].settled}
         events = self.events
         counters = self.counters
-        for aid in self.agent_ids:
-            new = positions[aid]
-            old = self._positions[aid]
-            if new != old:
-                events.append([t, "move", aid, old, new])
-                self._positions[aid] = new
-                counters["moves"] += 1
-            was = aid in self._settled
-            now_settled = aid in settled
-            if now_settled and not was:
-                events.append([t, "settle", aid, agents[aid].home])
-                self._settled.add(aid)
-                counters["settles"] += 1
-            elif was and not now_settled:
-                events.append([t, "unsettle", aid])
-                self._settled.discard(aid)
-                counters["unsettles"] += 1
+        if world:
+            self._diff_world(t)
         injector = kernel.fault_injector
         if injector is not None:
             # The tick that just executed ran at time t-1 (both engines read
@@ -235,6 +220,32 @@ class TraceRecorder:
             )
             self._edges = edges
             counters["churn_events"] += 1
+
+    def _diff_world(self, t: int) -> None:
+        """Move, settle and unsettle events: the O(k) positions and settled scan."""
+        kernel = self.kernel
+        positions = kernel.positions()
+        agents = kernel.agents
+        settled = {a for a in self.agent_ids if agents[a].settled}
+        events = self.events
+        counters = self.counters
+        for aid in self.agent_ids:
+            new = positions[aid]
+            old = self._positions[aid]
+            if new != old:
+                events.append([t, "move", aid, old, new])
+                self._positions[aid] = new
+                counters["moves"] += 1
+            was = aid in self._settled
+            now_settled = aid in settled
+            if now_settled and not was:
+                events.append([t, "settle", aid, agents[aid].home])
+                self._settled.add(aid)
+                counters["settles"] += 1
+            elif was and not now_settled:
+                events.append([t, "unsettle", aid])
+                self._settled.discard(aid)
+                counters["unsettles"] += 1
 
     # ----------------------------------------------------------- serialization
     def finalize(self) -> None:

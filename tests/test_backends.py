@@ -259,26 +259,46 @@ def probe_answers(engine, exclude_ids=(None,)):
 def test_settled_queries_track_settle_unsettle_resettle_and_moving_settlers():
     """The vectorized settled index must answer exactly like the reference
     scans through arbitrary settle / re-settle / unsettle / move interleavings
-    -- including settled bodies that keep moving (the oscillators)."""
+    -- including settled bodies that keep moving (the oscillators), one move
+    per round or several landed at once (``apply_walk``, a lazily stepped
+    oscillator catching up), which must leave what the single moves leave."""
     ref, vec = lockstep_engines()
+    stepped = lockstep_engines()[0]  # takes every walk one move per round
+    engines = (ref, vec, stepped)
     rng = random.Random(0x5E77)
-    for _ in range(80):
+    walks = 0
+    for _ in range(120):
         op = rng.random()
         aid = rng.randint(1, 10)
-        ra, va = ref.agents[aid], vec.agents[aid]
+        ra = ref.agents[aid]
         if op < 0.3:
-            for a in (ra, va):
+            for a in (eng.agents[aid] for eng in engines):
                 a.settle(a.position, None)  # re-settle moves the index entry
         elif op < 0.45 and ra.settled:
-            for a in (ra, va):
-                a.unsettle()
+            for eng in engines:
+                eng.agents[aid].unsettle()
+        elif op < 0.6:
+            node, pin, ports = ra.position, ra.pin, []
+            for _ in range(rng.randint(1, 6)):
+                ports.append(rng.randint(1, ref.graph.degree(node)))
+                node, pin = ref.graph.move(node, ports[-1])
+            for eng in (ref, vec):
+                eng.kernel.apply_walk(eng.agents[aid], node, pin, len(ports))
+            for port in ports:
+                stepped.step({aid: port})
+            walks += 1
         else:
             moves = {aid: rng.randint(1, ref.graph.degree(ra.position))}
-            ref.step(dict(moves))  # settled agents move too: oscillation
-            vec.step(dict(moves))
+            for eng in engines:
+                eng.step(dict(moves))  # settled agents move too: oscillation
         excludes = (None, aid, rng.randint(1, 10))
-        assert probe_answers(ref, excludes) == probe_answers(vec, excludes)
-        assert snapshot(ref) == snapshot(vec)
+        answers = [probe_answers(eng, excludes) for eng in engines]
+        assert answers[0] == answers[1] == answers[2]
+        assert snapshot(ref) == snapshot(vec) == snapshot(stepped)
+        for eng in (vec, stepped):
+            assert eng.metrics.max_moves_per_agent == ref.metrics.max_moves_per_agent
+            assert [a.pin for a in eng.agents.values()] == [a.pin for a in ref.agents.values()]
+    assert walks > 10
 
 
 def test_run_probe_round_parity_with_mixed_excludes():

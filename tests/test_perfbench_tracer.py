@@ -63,9 +63,21 @@ def test_tracer_counts_backend_primitives_and_undo_restores_them(monkeypatch):
 
 def test_tracer_counts_every_move_and_oscillator_round(monkeypatch):
     # k >= 7: below that rooted_sync falls back to naive DFS and runs no
-    # oscillator.
-    spec = ScenarioSpec(family="random_tree", params={"n": 20}, k=12, seed=0)
-    tracer, record = traced_run(monkeypatch, spec)
-    assert tracer.counts["agents.arrive.calls"] == record.total_moves
-    assert tracer.counts["core.oscillation.plan_step.calls"] > 0
-    assert tracer.counts["agents.memory.write.calls"] > 0
+    # oscillator.  Checking invariants makes the kernel observed, so every
+    # oscillator steps every round and every move is one arrival.
+    world = {"family": "random_tree", "params": {"n": 20}, "k": 12, "seed": 0}
+    spec = ScenarioSpec(**world)
+    eager, eager_record = traced_run(monkeypatch, ScenarioSpec(**world, check_invariants=True))
+    assert eager.counts["agents.arrive.calls"] == eager_record.total_moves
+    assert eager.counts["core.oscillation.plan_step.calls"] > 0
+    assert eager.counts["agents.memory.write.calls"] > 0
+    # Unobserved, oscillators are fast-forwarded and land once per catch-up:
+    # the same moves, from fewer arrivals and replayed trip steps.
+    lazy, lazy_record = traced_run(monkeypatch, spec)
+    assert lazy_record.total_moves == eager_record.total_moves
+    assert lazy.counts["agents.arrive.calls"] < eager.counts["agents.arrive.calls"]
+    assert (
+        0
+        < lazy.counts["core.oscillation.plan_step.calls"]
+        < eager.counts["core.oscillation.plan_step.calls"]
+    )

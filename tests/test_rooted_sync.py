@@ -211,8 +211,11 @@ def test_no_oscillator_stays_on_a_settled_cover(monkeypatch, algorithm, profile,
         tick(self, moves)
         seen["ticks"] += 1
         kernel = self.engine.kernel
+        # kernel.positions() lands the oscillators an unobserved run steps
+        # lazily; agent.position may lag behind until then.
+        positions = kernel.positions()
         for osc in self.oscillators.values():
-            here = osc.agent.position
+            here = positions[osc.agent.agent_id]
             if here in osc.covered and kernel.has_home_settler(here, osc.agent.agent_id):
                 seen["stale"].append((osc.agent.agent_id, here, kernel.now()))
 
